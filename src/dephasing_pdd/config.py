@@ -7,6 +7,7 @@ CSV header without ambiguity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -14,6 +15,7 @@ from .errors import ConfigError
 _PROTOCOLS = ("Q00", "Q10", "Q01", "Q11")
 _STATES = ("singlet", "bell_phi_plus", "custom")
 _WINDOWS = ("running", "fixed")
+_BLOCK_TOL = 1e-12
 
 
 @dataclass
@@ -46,6 +48,11 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}",
+                                  field=f.name)
         if self.s <= 0:
             raise ConfigError("Ohmicity s must be positive", field="s")
         if self.eta < 0:
@@ -85,6 +92,15 @@ class ScenarioConfig:
             if any(d < 0 for d in diag) or abs(sum(diag) - 1.0) > 1e-9:
                 raise ConfigError("custom diagonals must be nonnegative and "
                                   "sum to 1", field="rho11")
+            # X-state positivity: each 2x2 block must be PSD
+            if (self.re_rho14 ** 2 + self.im_rho14 ** 2
+                    > self.rho11 * self.rho44 + _BLOCK_TOL):
+                raise ConfigError("|rho14|^2 must not exceed rho11 rho44",
+                                  field="re_rho14")
+            if (self.re_rho23 ** 2 + self.im_rho23 ** 2
+                    > self.rho22 * self.rho33 + _BLOCK_TOL):
+                raise ConfigError("|rho23|^2 must not exceed rho22 rho33",
+                                  field="re_rho23")
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":

@@ -20,7 +20,8 @@ _BLOCK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class XStateSummary:
-    """Initial X-state data plus the current attenuation Q(t).
+    """Initial X-state data plus the current attenuation Q(t), a float or
+    an array of values along a trajectory.
 
     ``d`` are the four diagonals, ``a14``/``a23`` the initial anti-diagonal
     coherences.  The block positivity bounds |a14| <= sqrt(d1 d4) and
@@ -54,7 +55,7 @@ class XStateSummary:
         return cls(tuple(m.diagonal().real), m[0, 3], m[1, 2], q)
 
 
-def concurrence_x(x: XStateSummary) -> float:
+def concurrence_x(x: XStateSummary):
     """Closed-form concurrence of the evolved X-state:
 
         C_t = 2 max{0, |rho14(0)| |Q| - sqrt(rho22 rho33),
@@ -62,13 +63,12 @@ def concurrence_x(x: XStateSummary) -> float:
 
     Agrees with the Wootters eigenvalue computation on every X-state.  For
     states whose competing square-root terms vanish (Bell states, the
-    singlet) this reduces to C_0 |Q|.
+    singlet) this reduces to C_0 |Q|.  Elementwise when ``x.q`` is an
+    array of attenuations.
     """
-    return 2.0 * max(
-        0.0,
-        abs(x.a14) * abs(x.q) - np.sqrt(x.d[1] * x.d[2]),
-        abs(x.a23) * abs(x.q) - np.sqrt(x.d[0] * x.d[3]),
-    )
+    return 2.0 * np.maximum(0.0, np.maximum(
+        abs(x.a14) * np.abs(x.q) - np.sqrt(x.d[1] * x.d[2]),
+        abs(x.a23) * np.abs(x.q) - np.sqrt(x.d[0] * x.d[3])))
 
 
 def concurrence_wootters(rho: TwoQubitState) -> float:

@@ -155,15 +155,24 @@ def attenuation_functions(protocol: ControlProtocol, p: SpectralParams):
 
     The schedule-dependent sums are precomputed once, so prefer this over
     repeated :func:`q_factor` calls when a root finder or integrator will
-    evaluate the trajectory many times.
+    evaluate the trajectory many times.  When both qubits share an
+    exponent (Q00, Q11) it is evaluated once per call and doubled, which
+    is bit-identical to adding it to itself.
     """
     (g1, d1), (g2, d2) = _exponent_functions(protocol, p)
+    shared = g1 is g2
+
+    def gamma(t):
+        return 2.0 * g1(t) if shared else g1(t) + g2(t)
+
+    def gamma_dot(t):
+        return 2.0 * d1(t) if shared else d1(t) + d2(t)
 
     def q_of_t(t):
-        return np.exp(-(g1(t) + g2(t)))
+        return np.exp(-gamma(t))
 
     def qdot_of_t(t):
-        return -(d1(t) + d2(t)) * np.exp(-(g1(t) + g2(t)))
+        return -gamma_dot(t) * np.exp(-gamma(t))
 
     return q_of_t, qdot_of_t
 

@@ -124,12 +124,6 @@ class ControlledDecoherence:
         return self._evaluate(self.base_derivative, t, include_static=False)
 
 
-def controlled_gamma(base, schedule: PulseSchedule, t):
-    """One-shot Gamma(t); build a :class:`ControlledDecoherence` instead
-    when sweeping many times against the same schedule."""
-    return ControlledDecoherence(base, schedule)(t)
-
-
 def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,
                                 t, tol=1e-9):
     """Gamma(t) via the filter-function integral (independent oracle).

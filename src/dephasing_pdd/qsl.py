@@ -3,12 +3,16 @@
 Three routes are implemented and cross-checked against each other:
 
 * the X-state closed form  tau_QSL / tau_d = Phi0 |1 - Q(t)| / int |dQ/dt|,
-  with the denominator computed as the total variation of Q;
+  with the denominator computed as the total variation of Q: sum |dQ|
+  over the pulse instants and the extrema of Q, which one batched
+  extrema finder locates for every caller;
 * its analytic upper bound  Phi0 (1 - Q(t)) / (1 - Q(tau_d)), tight whenever
   Q is monotone on the window;
 * the general open-system ML/MT bound built from the singular values of
   d(rho)/dt paired against the initial-state eigenvalues (von Neumann
-  trace inequality pairing, descending against descending).
+  trace inequality pairing, descending against descending), its time
+  averages taken by adaptive quadrature of |dQ/dt| (Deffner & Lutz,
+  PRL 111, 010402 (2013)).
 
 By convention the driving time tau_d is bound to the evaluation time
 ("running" window), which reproduces the ratio = 1 baseline of free Ohmic
@@ -27,8 +31,11 @@ from scipy.optimize import brentq
 from .correlations import purity, relative_purity
 from .dynamics import TwoQubitState
 from .errors import FrozenDynamicsError, NoCoherenceError, QuadratureError
+from .quadrature import adaptive_panel_quad
 
 _FROZEN_TOL = 1e-14
+_SCAN_POINTS = 64
+_MAX_SCAN_ROUNDS = 10
 
 
 def phi0(rho0: TwoQubitState) -> float:
@@ -55,13 +62,6 @@ def phi0(rho0: TwoQubitState) -> float:
     return float(max(num / den, np.sqrt(num)))
 
 
-def x_singular_values(a14_dot: complex, a23_dot: complex) -> np.ndarray:
-    """Singular values (descending) of an anti-diagonal-only 4x4 matrix with
-    entries a14_dot at (1,4) and a23_dot at (2,3) plus conjugates."""
-    vals = np.array([abs(a14_dot), abs(a14_dot), abs(a23_dot), abs(a23_dot)])
-    return np.sort(vals)[::-1]
-
-
 @dataclass(frozen=True)
 class QslInputs:
     """Everything the X-state bounds need: the prefactor, the attenuation
@@ -75,147 +75,101 @@ class QslInputs:
     qdot_of_t: Optional[Callable] = None
 
 
-def _segments(t_start, t_end, breakpoints):
-    pts = sorted({t_start, t_end, *(b for b in breakpoints if t_start < b < t_end)})
-    return list(zip(pts[:-1], pts[1:]))
+def _slope(q_of_t, qdot_of_t, ts, a, b):
+    """dQ/dt at ``ts``; without a derivative, a forward difference whose
+    stencil stays inside each point's segment [a, b]."""
+    if qdot_of_t is not None:
+        return np.asarray(qdot_of_t(ts), dtype=float)
+    h = 1e-7 * (b - a)
+    s = np.clip(ts, a, b - h)
+    return (np.asarray(q_of_t(s + h), dtype=float)
+            - np.asarray(q_of_t(s), dtype=float)) / h
 
 
-def _extrema(qdot_of_t, a, b, n_scan):
-    """Zeros of dQ/dt inside (a, b), located by sign-scan plus Brent
-    refinement.  Endpoints are nudged inward so the scan never evaluates
-    the derivative on the wrong side of a pulse instant."""
-    ts = np.linspace(a, b, n_scan + 1)
-    ts[0] = np.nextafter(a, b)
-    ts[-1] = np.nextafter(b, a)
-    sign = np.sign(np.asarray(qdot_of_t(ts), dtype=float))
-
-    def scalar(t):
-        return float(np.asarray(qdot_of_t(t)).item())
-
-    # walk sign runs so zero plateaus contribute at most one node; a
-    # plateau between equal signs hides no extremum that moves the TV
-    roots = []
-    nz = np.nonzero(sign)[0]
-    for i, j in zip(nz[:-1], nz[1:]):
-        if sign[i] == sign[j]:
-            continue
-        if j == i + 1:
-            roots.append(brentq(scalar, ts[i], ts[j], xtol=1e-13))
-        else:
-            roots.append(float(ts[(i + j) // 2]))
-    return roots
-
-
-def _tv_segment(q_of_t, qdot_of_t, a, b, rel_tol, init_points, max_rounds):
-    # a grid-refinement sum |dQ| telescopes over ripples it cannot resolve
-    # and looks falsely converged, so the variation is instead assembled
-    # exactly from the extrema of Q; the scan is doubled until the root
-    # count and the value both stabilize
-    n = init_points
-    tv_prev = n_prev = None
-    for _ in range(max_rounds):
-        roots = _extrema(qdot_of_t, a, b, n)
-        nodes = np.concatenate(([a], roots, [b]))
-        tv = float(np.abs(np.diff(np.asarray(q_of_t(nodes), dtype=float))).sum())
-        if (tv_prev is not None and len(roots) == n_prev
-                and abs(tv - tv_prev) <= max(rel_tol * tv, 1e-14)):
-            return tv
-        tv_prev, n_prev = tv, len(roots)
+def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
+    """Zeros of dQ/dt inside every segment (a[k], b[k]): one sign scan of
+    all segments at once, doubled until each segment's count of sign
+    changes repeats, then one Brent refinement per bracket.  Scan ends are
+    nudged inward, off the wrong side of a pulse instant."""
+    counts = None
+    n = _SCAN_POINTS
+    for _ in range(_MAX_SCAN_ROUNDS):
+        ts = np.linspace(a, b, n + 1, axis=-1)
+        ts[:, 0] = np.nextafter(a, b)
+        ts[:, -1] = np.nextafter(b, a)
+        sign = np.sign(_slope(q_of_t, qdot_of_t, ts.ravel(),
+                              np.repeat(a, n + 1), np.repeat(b, n + 1)))
+        row, col = np.nonzero(sign.reshape(ts.shape))
+        # pair consecutive nonzero samples of a row, so a zero plateau
+        # contributes at most one node; a plateau between equal signs
+        # hides no extremum that moves the variation
+        flat = sign.reshape(ts.shape)[row, col]
+        change = (row[1:] == row[:-1]) & (flat[1:] != flat[:-1])
+        new_counts = np.bincount(row[1:][change], minlength=len(a))
+        if counts is not None and np.array_equal(new_counts, counts):
+            break
+        counts = new_counts
         n *= 2
-    raise QuadratureError(
-        f"total variation on [{a:g}, {b:g}] did not stabilize",
-        estimate=tv, achieved_error=abs(tv - tv_prev))
+    else:
+        raise QuadratureError(
+            f"extrema scan over {len(a)} segments did not stabilize "
+            f"within {_MAX_SCAN_ROUNDS} doublings")
+
+    def probe(t, lo, hi):
+        return _slope(q_of_t, qdot_of_t, t, lo, hi).item()
+
+    rtol = max(rel_tol, 4.0 * np.finfo(float).eps)
+    pairs = zip(row[1:][change], col[:-1][change], col[1:][change])
+    return np.array([ts[r, (i + j) // 2] if j > i + 1 else
+                     brentq(probe, ts[r, i], ts[r, j], args=(a[r], b[r]),
+                            xtol=1e-13, rtol=rtol)
+                     for r, i, j in pairs], dtype=float)
+
+
+def _nodes(q_of_t, qdot_of_t, t_start, t_end, breakpoints, rel_tol):
+    """Segment edges plus every extremum of Q on [t_start, t_end], sorted:
+    Q is monotone between consecutive nodes."""
+    edges = np.array(sorted({t_start, t_end, *(
+        x for x in breakpoints if t_start < x < t_end)}), dtype=float)
+    if len(edges) < 2:
+        return edges
+    roots = _extrema(q_of_t, qdot_of_t, edges[:-1], edges[1:], rel_tol)
+    return np.unique(np.concatenate((edges, roots)))
 
 
 def total_variation(q_of_t, t_end, breakpoints=(), t_start=0.0,
-                    rel_tol=1e-9, max_rounds=12, init_points=64,
-                    qdot_of_t=None):
-    """Total variation of Q over [t_start, t_end]: the limit of
-    sum |Q(t_{i+1}) - Q(t_i)| under grid refinement.
+                    rel_tol=1e-9, qdot_of_t=None):
+    """Total variation of Q over [t_start, t_end]: sum |Q| differences
+    between consecutive extrema and segment edges, exact up to the
+    root-location error, which enters only quadratically.
 
-    When ``qdot_of_t`` is supplied the variation is computed exactly as
-    sum |Q| differences between consecutive extrema (zeros of the
-    derivative, found per inter-breakpoint segment); the result is then
-    accurate to the root-location error, which enters only quadratically.
-    Without a derivative a doubling-grid fallback is used with three
-    consecutive sub-threshold increments required before acceptance (a
-    single small increment can be a grid-alignment accident).
+    ``rel_tol`` is the relative tolerance of the Brent refinement of each
+    extremum (floored at 4 machine epsilons).  Without ``qdot_of_t`` the
+    extrema are the zeros of a forward difference of Q.
     """
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
     if t_end == t_start:
         return 0.0
-    total = 0.0
-    for a, b in _segments(t_start, t_end, breakpoints):
-        if qdot_of_t is not None:
-            total += _tv_segment(q_of_t, qdot_of_t, a, b,
-                                 rel_tol, init_points, max_rounds)
-            continue
-        m = init_points
-        ts = np.linspace(a, b, m + 1)
-        tv = float(np.abs(np.diff(q_of_t(ts))).sum())
-        quiet = 0
-        for _ in range(max(max_rounds, 22)):
-            m *= 2
-            ts = np.linspace(a, b, m + 1)
-            tv_new = float(np.abs(np.diff(q_of_t(ts))).sum())
-            delta = tv_new - tv
-            tv = tv_new
-            quiet = quiet + 1 if delta <= max(rel_tol * tv_new, 1e-14) else 0
-            if quiet >= 3:
-                break
-        else:
-            raise QuadratureError(
-                f"total variation on [{a:g}, {b:g}] did not stabilize",
-                estimate=total + tv, achieved_error=delta)
-        total += tv
-    return total
+    nodes = _nodes(q_of_t, qdot_of_t, t_start, t_end, breakpoints, rel_tol)
+    return float(np.abs(np.diff(np.asarray(q_of_t(nodes), dtype=float))).sum())
 
 
 def cumulative_total_variation(q_of_t, ts_eval, breakpoints=(),
-                               rel_tol=1e-7, max_rounds=10, qdot_of_t=None):
+                               qdot_of_t=None):
     """Total variation of Q on [0, t] for every t in ``ts_eval`` at once.
 
-    With a derivative, inserts the extrema of Q into the evaluation grid
-    and reads off exact partial sums.  Otherwise builds one shared grid
-    containing all evaluation times and breakpoints, refines it globally
-    by midpoint insertion until the full-window variation stabilizes, then
-    reads off partial sums.  Used by the CLI so a dense trace does not pay
-    a separate refinement per output row.
+    Inserts the extrema of Q into the evaluation grid and reads off exact
+    partial sums, so a dense trace does not pay a separate search per
+    output row.
     """
     ts_eval = np.asarray(ts_eval, dtype=float)
-    t_end = float(ts_eval.max())
-    if qdot_of_t is not None:
-        roots = []
-        for a, b in _segments(0.0, t_end, breakpoints):
-            roots.extend(_extrema(qdot_of_t, a, b, 256))
-        grid = np.unique(np.concatenate((
-            ts_eval, [0.0, t_end], roots,
-            [b for b in breakpoints if 0.0 < b < t_end])))
-        steps = np.abs(np.diff(np.asarray(q_of_t(grid), dtype=float)))
-        cum = np.concatenate(([0.0], np.cumsum(steps)))
-        return cum[np.searchsorted(grid, ts_eval)]
-    base = np.unique(np.concatenate((
-        ts_eval, [0.0, t_end],
-        [b for b in breakpoints if 0.0 < b < t_end])))
-    grid = base
-    tv = None
-    quiet = 0
-    for round_idx in range(max_rounds + 1):
-        q = q_of_t(grid)
-        steps = np.abs(np.diff(q))
-        tv_new = float(steps.sum())
-        if tv is not None:
-            quiet = (quiet + 1
-                     if tv_new - tv <= max(rel_tol * tv_new, 1e-14) else 0)
-        if quiet >= 2 or round_idx == max_rounds:
-            break
-        tv = tv_new
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        grid = np.unique(np.concatenate((grid, mids)))
+    nodes = _nodes(q_of_t, qdot_of_t, 0.0, float(ts_eval.max()),
+                   breakpoints, 0.0)
+    grid = np.unique(np.concatenate((ts_eval, nodes)))
+    steps = np.abs(np.diff(np.asarray(q_of_t(grid), dtype=float)))
     cum = np.concatenate(([0.0], np.cumsum(steps)))
-    idx = np.searchsorted(grid, ts_eval)
-    return cum[idx]
+    return cum[np.searchsorted(grid, ts_eval)]
 
 
 def _window(inputs: QslInputs, t_eval, window):
@@ -266,8 +220,7 @@ def qslt_upper_bound(inputs: QslInputs, t_eval, window="running"):
 
 
 def qslt_general(rho0: TwoQubitState, q_of_t, qdot_of_t, tau_d,
-                 breakpoints=(), rel_tol=1e-8, max_rounds=18,
-                 init_points=64):
+                 breakpoints=(), rel_tol=1e-8):
     """General ML/MT open-system bound over the window [0, tau_d].
 
     tau_QSL = max{ 1/<sum_i sigma_i rho_i>, 1/<sqrt(sum_i sigma_i^2)> }
@@ -275,9 +228,10 @@ def qslt_general(rho0: TwoQubitState, q_of_t, qdot_of_t, tau_d,
 
     with sigma_i(t) the singular values of d(rho)/dt (descending), rho_i
     the eigenvalues of the initial state (descending), <.> the time
-    average over the window, and f the relative purity.  Time averages use
-    trapezoidal weights on the same per-segment doubling grids as the
-    total-variation integrator.
+    average over the window, and f the relative purity.  For an X-state
+    sigma_i is |a14| or |a23| times |dQ/dt|, so both averages are constants
+    times <|dQ/dt|>, integrated to ``rel_tol`` by adaptive quadrature on
+    panels split at the pulse instants and the extrema of Q.
     """
     if not rho0.is_x_state():
         raise ValueError("state is not X-shaped")
@@ -286,49 +240,14 @@ def qslt_general(rho0: TwoQubitState, q_of_t, qdot_of_t, tau_d,
     if abs(a14) + abs(a23) <= _FROZEN_TOL:
         raise NoCoherenceError("initial X-state has no anti-diagonal coherence")
     rho_eigs = np.sort(np.linalg.eigvalsh(m))[::-1]
+    sigma_per_speed = np.sort([abs(a14), abs(a14), abs(a23), abs(a23)])[::-1]
 
-    def node_values(ts):
-        qd = np.abs(np.asarray(qdot_of_t(ts), dtype=float))
-        sig = np.sort(np.stack([abs(a14) * qd, abs(a14) * qd,
-                                abs(a23) * qd, abs(a23) * qd]), axis=0)[::-1]
-        ml = (sig * rho_eigs[:, None]).sum(axis=0)
-        mt = np.sqrt((sig ** 2).sum(axis=0))
-        return ml, mt
-
-    def segment_nodes(a, b, n):
-        # dQ/dt jumps at pulse instants; keep endpoint evaluations on the
-        # interior side of the segment
-        ts = np.linspace(a, b, n + 1)
-        ts[0] = np.nextafter(a, b)
-        ts[-1] = np.nextafter(b, a)
-        return ts
-
-    int_ml = int_mt = 0.0
-    for a, b in _segments(0.0, float(tau_d), breakpoints):
-        n = init_points
-        ts = segment_nodes(a, b, n)
-        ml, mt = node_values(ts)
-        seg_ml, seg_mt = np.trapezoid(ml, ts), np.trapezoid(mt, ts)
-        quiet = 0
-        for _ in range(max_rounds):
-            n *= 2
-            ts = segment_nodes(a, b, n)
-            ml, mt = node_values(ts)
-            new_ml, new_mt = np.trapezoid(ml, ts), np.trapezoid(mt, ts)
-            delta = abs(new_ml - seg_ml) + abs(new_mt - seg_mt)
-            seg_ml, seg_mt = new_ml, new_mt
-            quiet = (quiet + 1 if delta <= max(
-                rel_tol * (abs(new_ml) + abs(new_mt)), 1e-14) else 0)
-            if quiet >= 2:
-                break
-        else:
-            raise QuadratureError(
-                f"time averages on [{a:g}, {b:g}] did not stabilize",
-                estimate=int_ml + seg_ml, achieved_error=delta)
-        int_ml += seg_ml
-        int_mt += seg_mt
-
-    avg_ml, avg_mt = int_ml / tau_d, int_mt / tau_d
+    nodes = _nodes(q_of_t, qdot_of_t, 0.0, float(tau_d), breakpoints, rel_tol)
+    speed = adaptive_panel_quad(
+        lambda t: np.abs(np.asarray(qdot_of_t(t), dtype=float)),
+        0.0, float(tau_d), nodes[1:-1], rel_tol=rel_tol) / tau_d
+    avg_ml = float(sigma_per_speed @ rho_eigs) * speed
+    avg_mt = float(np.sqrt((sigma_per_speed ** 2).sum())) * speed
     if min(avg_ml, avg_mt) <= _FROZEN_TOL:
         raise FrozenDynamicsError("d(rho)/dt vanishes on the whole window")
 

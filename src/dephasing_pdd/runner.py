@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ScenarioConfig
-from .correlations import XStateSummary, consonance, discord_singlet
+from .correlations import (XStateSummary, concurrence_x, consonance,
+                           discord_singlet)
 from .dynamics import (ControlProtocol, ProtocolTag, TwoQubitState,
                        attenuation_functions, bell_phi_plus, singlet)
 from .errors import NoCoherenceError
@@ -95,12 +96,9 @@ def run_trace(cfg: ScenarioConfig):
     q00, q10, q11 = _q_arrays(cfg, params, schedule, ts)
     q = _protocol_q(cfg.protocol, q00, q10, q11)
 
-    x0 = XStateSummary.from_state(rho0)
-    d = x0.d
-    c_t = 2.0 * np.maximum(0.0, np.maximum(
-        abs(x0.a14) * np.abs(q) - np.sqrt(d[1] * d[2]),
-        abs(x0.a23) * np.abs(q) - np.sqrt(d[0] * d[3])))
-    qc_t = consonance(x0) * q
+    x_t = XStateSummary.from_state(rho0, q)
+    c_t = concurrence_x(x_t)
+    qc_t = consonance(x_t)
     is_singlet = cfg.initial_state == "singlet"
     qd_t = [discord_singlet(v) for v in q] if is_singlet else None
 

@@ -49,6 +49,9 @@ class TestScenarioConfig:
         (dict(qsl_window="sliding"), "qsl_window"),
         (dict(points_per_interval=1), "points_per_interval"),
         (dict(initial_state="custom", rho11=0.9), "rho11"),
+        (dict(pulse_spacing=float("inf")), "pulse_spacing"),
+        (dict(initial_state="custom", rho11=0.1, rho22=0.4, rho33=0.4,
+              rho44=0.1, re_rho23=-0.45), "re_rho23"),
     ])
     def test_validation_failures(self, kwargs, field):
         with pytest.raises(ConfigError) as err:
@@ -108,6 +111,20 @@ class TestCli:
 
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["trace", "--protocol", "Q22"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--tau-d", "inf"],
+        ["--eta", "nan"],
+        ["--s", "nan"],
+        ["--initial-state", "custom", "--im-rho14", "nan"],
+        ["--initial-state", "custom", "--rho11", ".1", "--rho22", ".4",
+         "--rho33", ".4", "--rho44", ".1", "--re-rho14", ".3",
+         "--re-rho23", "0"],
+    ], ids=["tau_d_inf", "eta_nan", "s_nan", "im_rho14_nan",
+            "rho14_exceeds_block"])
+    def test_bad_input_is_config_error(self, argv, capsys):
+        assert cli.main(["trace", *argv]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):

@@ -65,6 +65,16 @@ class TestConcurrence:
         x2 = XStateSummary(d, a14, 0.0, q=0.5)
         assert concurrence_x(x2) == 0.0
 
+    def test_array_matches_scalar_calls(self):
+        # attenuations on both sides of the sudden-death point
+        d = (0.3, 0.2, 0.2, 0.3)
+        qs = np.linspace(0.0, 1.0, 21)
+        vec = concurrence_x(XStateSummary(d, 0.25, 0.1j, q=qs))
+        assert np.array_equal(
+            vec, [concurrence_x(XStateSummary(d, 0.25, 0.1j, q=float(qv)))
+                  for qv in qs])
+        assert vec[0] == 0.0 < vec[-1]
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000), qv=st.floats(0.0, 1.0))
     def test_closed_form_matches_wootters(self, seed, qv):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephasing_pdd.pulses import (ControlledDecoherence, PulseSchedule,
-                                  controlled_gamma,
                                   controlled_gamma_quadrature,
                                   free_decoherence, pdd_schedule)
 from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
@@ -74,13 +73,6 @@ class TestControlledDecoherence:
         gamma = ControlledDecoherence(free_decoherence(OHMIC), sched)
         assert gamma(10.0) == pytest.approx(
             np.log(26.0) - 0.25 * np.log(101.0), abs=1e-12)
-
-    def test_wrapper_matches_class(self):
-        sched = pdd_schedule(3, 10.0)
-        base = free_decoherence(OHMIC)
-        gamma = ControlledDecoherence(base, sched)
-        for t in (1.0, 4.7, 9.0, 14.0):
-            assert controlled_gamma(base, sched, t) == gamma(t)
 
     def test_vectorized_matches_scalar(self):
         sched = pdd_schedule(5, 10.0)

@@ -7,11 +7,12 @@ from scipy.integrate import quad
 from dephasing_pdd.dynamics import (ControlProtocol, ProtocolTag,
                                     TwoQubitState, attenuation_functions,
                                     bell_phi_plus, singlet)
-from dephasing_pdd.errors import FrozenDynamicsError, NoCoherenceError
+from dephasing_pdd.errors import (FrozenDynamicsError, NoCoherenceError,
+                                  QuadratureError)
 from dephasing_pdd.pulses import pdd_schedule
 from dephasing_pdd.qsl import (QslInputs, cumulative_total_variation, phi0,
                                qslt_general, qslt_ratio, qslt_upper_bound,
-                               total_variation, x_singular_values)
+                               total_variation)
 from dephasing_pdd.spectral import SpectralParams
 
 OHMIC = SpectralParams(1.0, 0.5)
@@ -40,10 +41,6 @@ class TestPhi0:
         with pytest.raises(ValueError, match="X-shaped"):
             phi0(TwoQubitState(m))
 
-    def test_singular_values_sorted(self):
-        sig = x_singular_values(0.1, 0.4 + 0.3j)
-        assert sig == pytest.approx([0.5, 0.5, 0.1, 0.1])
-
 
 class TestTotalVariation:
     def test_monotone_function_telescopes(self):
@@ -62,13 +59,17 @@ class TestTotalVariation:
         tv = total_variation(q, 4.0 * np.pi, qdot_of_t=qd)
         assert tv == pytest.approx(8.0, rel=1e-10)
 
-    def test_derivative_route_matches_fallback(self):
+    def test_derivative_route_matches_dense_grid(self):
+        # oracle: sum |dQ| on a fine grid per segment, which misses each
+        # extremum by at most Q'' h^2 / 8 with h = 1e-5
         q, qd = protocol_functions("Q11", OHMIC)
         exact = total_variation(q, 8.0, breakpoints=SCHED.instants,
                                 qdot_of_t=qd)
-        grid = total_variation(q, 8.0, breakpoints=SCHED.instants,
-                               rel_tol=1e-10)
-        assert grid == pytest.approx(exact, rel=1e-8)
+        edges = [0.0, *(x for x in SCHED.instants if x < 8.0), 8.0]
+        grid = np.unique(np.concatenate(
+            [np.linspace(a, b, 200_001) for a, b in zip(edges[:-1], edges[1:])]))
+        dense = float(np.abs(np.diff(q(grid))).sum())
+        assert dense == pytest.approx(exact, rel=1e-8)
 
     def test_resolves_shallow_ripples(self):
         # beyond the pulse train Q10 carries ripples whose contributions
@@ -84,6 +85,14 @@ class TestTotalVariation:
                           a + 1e-9, b - 1e-9, limit=400, epsrel=1e-12)
             ref += val
         assert tv == pytest.approx(ref, rel=1e-8)
+
+    def test_unresolved_oscillation_raises(self):
+        # zeros of sin(1/t) crowd towards t = 0, so every doubling of the
+        # scan resolves more of them and the count never repeats
+        qd = lambda t: np.sin(1.0 / np.asarray(t))
+        with pytest.raises(QuadratureError, match="did not stabilize"):
+            total_variation(lambda t: np.asarray(t), 1.0, t_start=1e-4,
+                            qdot_of_t=qd)
 
     def test_cumulative_matches_pointwise(self):
         q, qd = protocol_functions("Q11", SpectralParams(3.0, 0.5))
@@ -112,6 +121,24 @@ class TestQsltRatio:
             r = qslt_ratio(inputs, t)
             assert r <= qslt_upper_bound(inputs, t) + 1e-12
             assert r <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("tag,state,s,eta,tau_f,n,t", [
+        # one extremum of Q11, 0.14 after the pulse instant
+        ("Q11", singlet, 0.9829, 0.5272, 10.2434, 2, 5.63387),
+        # extrema of Q10 0.0056 after two pulse instants, which a scan of
+        # the signs of Q differences misses
+        ("Q10", bell_phi_plus, 3.0632, 0.4032, 9.8015, 5, 5.390825),
+    ], ids=["q11_singlet", "q10_bell_phi_plus"])
+    def test_derivative_free_route_matches_derivative(self, tag, state, s,
+                                                      eta, tau_f, n, t):
+        sched = pdd_schedule(n, tau_f)
+        q, qd = protocol_functions(tag, SpectralParams(s, eta), sched)
+        pref = phi0(state())
+        with_qdot = QslInputs(pref, q, tau_d=t, breakpoints=sched.instants,
+                              qdot_of_t=qd)
+        without = QslInputs(pref, q, tau_d=t, breakpoints=sched.instants)
+        assert qslt_ratio(without, t) == pytest.approx(
+            qslt_ratio(with_qdot, t), rel=1e-10)
 
     def test_window_validation(self):
         q, qd = protocol_functions("Q00", OHMIC)
