@@ -7,10 +7,9 @@ from .correlations import (XStateSummary, concurrence_wootters, concurrence_x,
                            consonance, discord_singlet, purity,
                            relative_purity)
 from .dynamics import (Attenuation, ControlProtocol, ProtocolTag,
-                       TwoQubitState, attenuation, attenuation_factors,
-                       attenuation_functions, bell_phi_plus, dephasing_kraus,
-                       q_derivative, q_factor, single_qubit_evolve, singlet,
-                       two_qubit_evolve)
+                       TwoQubitState, attenuation_functions, bell_phi_plus,
+                       dephasing_kraus, q_columns, q_factor,
+                       single_qubit_evolve, singlet, two_qubit_evolve)
 from .errors import (ConfigError, FrozenDynamicsError, NoCoherenceError,
                      QuadratureError)
 from .pulses import (ControlledDecoherence, PulseSchedule,

@@ -11,7 +11,7 @@ import sys
 
 from . import verify as verify_mod
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, FrozenDynamicsError, QuadratureError
+from .errors import ConfigError, QuadratureError
 from .runner import render_csv, run_sweep_n, run_trace
 
 _SCENARIO_FLAGS = [
@@ -116,7 +116,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, FrozenDynamicsError, FloatingPointError) as exc:
+    except (QuadratureError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -88,22 +88,22 @@ def consonance(x: XStateSummary) -> float:
     return 2.0 * (x.a14 + x.a23).real * x.q
 
 
-def discord_singlet(q: float) -> float:
+def discord_singlet(q):
     """Quantum discord of the dephased singlet: 1 - H2((1 + |Q|)/2).
 
     H2 is the binary entropy in base 2, so the fresh singlet has discord
     exactly 1.  Valid only when the initial state is the singlet.
+    Elementwise when ``q`` is an array of attenuations.
     """
     tol = 1e-12
-    if q < -tol or q > 1.0 + tol:
+    qq = np.asarray(q, dtype=float)
+    if np.any((qq < -tol) | (qq > 1.0 + tol)):
         raise ValueError(f"attenuation must lie in [0, 1], got {q}")
-    q = min(max(abs(q), 0.0), 1.0)
-    p = (1.0 + q) / 2.0
+    p = (1.0 + np.clip(np.abs(qq), 0.0, 1.0)) / 2.0
     h = 0.0
     for w in (p, 1.0 - p):
-        if w > 0.0:
-            h -= w * np.log2(w)
-    return 1.0 - h
+        h = h - np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
+    return float(1.0 - h) if np.ndim(q) == 0 else 1.0 - h
 
 
 def purity(rho: TwoQubitState) -> float:

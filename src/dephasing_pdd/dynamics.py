@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .pulses import ControlledDecoherence, PulseSchedule
-from .spectral import SpectralParams, gamma0_analytic, gamma0_derivative
+from .pulses import ControlledDecoherence, PulseSchedule, free_decoherence
+from .spectral import SpectralParams, gamma0_derivative
 
 _HERMITICITY_ATOL = 1e-10
 _TRACE_ATOL = 1e-12
@@ -106,48 +106,36 @@ class Attenuation:
         return self.p1 * self.p2
 
 
-def _exponent_functions(protocol: ControlProtocol, p: SpectralParams):
-    """(Gamma, dGamma/dt) callables for each qubit under the protocol."""
-    def free(t):
-        return gamma0_analytic(p, t)
+def _exponents(tag: ProtocolTag, p: SpectralParams, schedule):
+    """Each qubit's (Gamma, dGamma/dt) callables: the controlled exponent
+    when the qubit is pulsed, the free Gamma0 otherwise.  The protocol
+    rule lives here and nowhere else."""
+    free = free_decoherence(p)
 
     def free_dot(t):
         return gamma0_derivative(p, t)
 
-    controlled = None
-    if any(protocol.tag.pulsed):
-        controlled = ControlledDecoherence(free, protocol.schedule, free_dot)
-
-    pairs = []
-    for pulsed in protocol.tag.pulsed:
-        if pulsed:
-            pairs.append((controlled, controlled.derivative))
-        else:
-            pairs.append((free, free_dot))
-    return pairs
+    pair = {False: (free, free_dot)}
+    if any(tag.pulsed):
+        controlled = ControlledDecoherence(free, schedule, free_dot)
+        pair[True] = (controlled, controlled.derivative)
+    return [pair[pulsed] for pulsed in tag.pulsed]
 
 
-def attenuation_factors(protocol: ControlProtocol, p: SpectralParams, t):
-    """Arrays (P1(t), P2(t)); accepts scalar or array times."""
-    (g1, _), (g2, _) = _exponent_functions(protocol, p)
-    return np.exp(-g1(t)), np.exp(-g2(t))
-
-
-def attenuation(protocol: ControlProtocol, p: SpectralParams, t) -> Attenuation:
-    p1, p2 = attenuation_factors(protocol, p, float(t))
-    return Attenuation(float(p1), float(p2))
+def q_columns(p: SpectralParams, schedule: PulseSchedule, t):
+    """Q(t) for all four protocol tags, keyed by :class:`ProtocolTag`,
+    from one evaluation of Gamma0 and one of the controlled Gamma.  Each
+    column is exp(-(Gamma_1 + Gamma_2)), bit-identical to the ``q_of_t``
+    of :func:`attenuation_functions` for the same tag."""
+    (gc, _), (g0, _) = _exponents(ProtocolTag.Q10, p, schedule)
+    gamma = {True: gc(t), False: g0(t)}
+    return {tag: np.exp(-(gamma[tag.pulsed[0]] + gamma[tag.pulsed[1]]))
+            for tag in ProtocolTag}
 
 
 def q_factor(protocol: ControlProtocol, p: SpectralParams, t):
     """Q(t) = P1(t) P2(t), scalar or array."""
-    p1, p2 = attenuation_factors(protocol, p, t)
-    return p1 * p2
-
-
-def q_derivative(protocol: ControlProtocol, p: SpectralParams, t):
-    """dQ/dt = -(dGamma_1/dt + dGamma_2/dt) Q(t) between pulse instants."""
-    (g1, d1), (g2, d2) = _exponent_functions(protocol, p)
-    return -(d1(t) + d2(t)) * np.exp(-(g1(t) + g2(t)))
+    return attenuation_functions(protocol, p)[0](t)
 
 
 def attenuation_functions(protocol: ControlProtocol, p: SpectralParams):
@@ -159,7 +147,7 @@ def attenuation_functions(protocol: ControlProtocol, p: SpectralParams):
     exponent (Q00, Q11) it is evaluated once per call and doubled, which
     is bit-identical to adding it to itself.
     """
-    (g1, d1), (g2, d2) = _exponent_functions(protocol, p)
+    (g1, d1), (g2, d2) = _exponents(protocol.tag, p, protocol.schedule)
     shared = g1 is g2
 
     def gamma(t):

@@ -15,12 +15,12 @@ from .config import ScenarioConfig
 from .correlations import (XStateSummary, concurrence_x, consonance,
                            discord_singlet)
 from .dynamics import (ControlProtocol, ProtocolTag, TwoQubitState,
-                       attenuation_functions, bell_phi_plus, singlet)
+                       attenuation_functions, bell_phi_plus, q_columns,
+                       singlet)
 from .errors import NoCoherenceError
-from .pulses import ControlledDecoherence, pdd_schedule
-from .qsl import (QslInputs, cumulative_total_variation, phi0, qslt_ratio,
-                  qslt_upper_bound)
-from .spectral import SpectralParams, gamma0_analytic
+from .pulses import pdd_schedule
+from .qsl import _FROZEN_TOL, cumulative_total_variation, phi0
+from .spectral import SpectralParams
 
 FROZEN_FOOTNOTE = ("# note: frozen dynamics (Q(t)=1 for all t); "
                    "QSLT columns left empty")
@@ -31,6 +31,8 @@ TRACE_COLUMNS = ("t", "Q00", "Q10", "Q11", "C_t", "QC_t", "QD_t",
                  "qslt_ratio", "qslt_upper_bound")
 SWEEP_COLUMNS = ("n", "regime", "t_eval", "Q00", "Q10", "Q11", "Q",
                  "qslt_ratio", "qslt_upper_bound")
+# the protocol columns both datasets carry (Q01 equals Q10)
+_CSV_TAGS = (ProtocolTag.Q00, ProtocolTag.Q10, ProtocolTag.Q11)
 
 
 def _fmt(x):
@@ -63,21 +65,39 @@ def time_grid(cfg: ScenarioConfig, instants):
     return np.unique(np.concatenate(pieces))
 
 
-def _q_arrays(cfg, params, schedule, ts):
-    g0 = gamma0_analytic(params, ts)
-    if schedule.n_pulses:
-        gc = ControlledDecoherence(lambda t: gamma0_analytic(params, t),
-                                   schedule)(ts)
-    else:
-        gc = g0
-    q00 = np.exp(-2.0 * g0)
-    q11 = np.exp(-2.0 * gc)
-    q10 = np.exp(-(g0 + gc))
-    return q00, q10, q11
+def _header(kind, cfg: ScenarioConfig, columns):
+    # the output path is run-local, not part of the scenario; keep the
+    # echoed header byte-stable across destinations
+    echo = replace(cfg, out=None)
+    return ([f"# dephasing-pdd {kind}"]
+            + [f"# {line}" for line in echo.to_text().splitlines()]
+            + [",".join(columns)])
 
 
-def _protocol_q(tag: str, q00, q10, q11):
-    return {"Q00": q00, "Q10": q10, "Q01": q10, "Q11": q11}[tag]
+def _qslt_cells(rho0, protocol, params, ts, q, fixed):
+    """Formatted (qslt_ratio, qslt_upper_bound) cells at every time in
+    ``ts``, and a footnote when every cell is empty.  Row i's window is
+    [0, ts[i]], or [0, ts[-1]] when ``fixed``; its cells stay empty at
+    t = 0 and where Q stays 1 to within 1e-14 on the window (0/0 ratio)."""
+    try:
+        pref = phi0(rho0)
+    except NoCoherenceError:
+        return [["", ""]] * len(ts), NO_COHERENCE_FOOTNOTE
+    q_of_t, qdot_of_t = attenuation_functions(protocol, params)
+    tv = cumulative_total_variation(q_of_t, ts,
+                                    breakpoints=protocol.schedule.instants,
+                                    qdot_of_t=qdot_of_t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if fixed:
+            tv = np.full_like(tv, tv[-1])
+            upper = pref * (1.0 - q) / (1.0 - q[-1])
+        else:
+            upper = np.where(np.abs(1.0 - q) <= _FROZEN_TOL, 0.0, pref)
+        ratio = pref * np.abs(1.0 - q) / tv
+    live = (ts > 0.0) & (tv > _FROZEN_TOL)
+    cells = [[_fmt(r), _fmt(u)] if ok else ["", ""]
+             for r, u, ok in zip(ratio, upper, live)]
+    return cells, None if live.any() else FROZEN_FOOTNOTE
 
 
 def run_trace(cfg: ScenarioConfig):
@@ -85,7 +105,7 @@ def run_trace(cfg: ScenarioConfig):
 
     Returns (header_lines, rows); rows hold formatted strings, empty cells
     where a value is undefined (QD for non-singlet states, QSLT at t = 0
-    or under frozen dynamics).
+    or where Q stays 1 to within 1e-14 on the window).
     """
     params = SpectralParams(cfg.s, cfg.eta, cfg.omega_c)
     schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
@@ -93,107 +113,54 @@ def run_trace(cfg: ScenarioConfig):
     rho0 = initial_state(cfg)
     ts = time_grid(cfg, schedule.instants)
 
-    q00, q10, q11 = _q_arrays(cfg, params, schedule, ts)
-    q = _protocol_q(cfg.protocol, q00, q10, q11)
-
+    cols = q_columns(params, schedule, ts)
+    q = cols[protocol.tag]
     x_t = XStateSummary.from_state(rho0, q)
-    c_t = concurrence_x(x_t)
-    qc_t = consonance(x_t)
-    is_singlet = cfg.initial_state == "singlet"
-    qd_t = [discord_singlet(v) for v in q] if is_singlet else None
+    qd_t = (discord_singlet(q) if cfg.initial_state == "singlet"
+            else [None] * len(ts))
+    cells, footnote = _qslt_cells(rho0, protocol, params, ts, q,
+                                  fixed=cfg.qsl_window == "fixed")
 
-    footnote = None
-    ratio = upper = None
-    try:
-        pref = phi0(rho0)
-    except NoCoherenceError:
-        footnote = NO_COHERENCE_FOOTNOTE
-        pref = None
-    if pref is not None:
-        if cfg.eta == 0.0:
-            footnote = FROZEN_FOOTNOTE
-        else:
-            q_of_t, qdot_of_t = attenuation_functions(protocol, params)
-            cumtv = cumulative_total_variation(q_of_t, ts,
-                                               breakpoints=schedule.instants,
-                                               qdot_of_t=qdot_of_t)
-            if cfg.qsl_window == "running":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = pref * np.abs(1.0 - q) / cumtv
-                upper = np.where(np.abs(1.0 - q) <= 1e-14, 0.0, pref)
-            else:
-                ratio = pref * np.abs(1.0 - q) / cumtv[-1]
-                upper = pref * (1.0 - q) / (1.0 - q[-1])
-
-    header = ["# dephasing-pdd trace"]
-    # the output path is run-local, not part of the scenario; keep the
-    # echoed header byte-stable across destinations
-    echo = replace(cfg, out=None)
-    header += [f"# {line}" for line in echo.to_text().splitlines()]
-    header.append(",".join(TRACE_COLUMNS))
-
-    rows = []
-    for i, t in enumerate(ts):
-        row = [_fmt(t), _fmt(q00[i]), _fmt(q10[i]), _fmt(q11[i]),
-               _fmt(c_t[i]), _fmt(qc_t[i]),
-               _fmt(qd_t[i]) if is_singlet else ""]
-        if ratio is not None and t > 0.0:
-            row += [_fmt(ratio[i]), _fmt(upper[i])]
-        else:
-            row += ["", ""]
-        rows.append(row)
+    columns = (ts, *(cols[tag] for tag in _CSV_TAGS), concurrence_x(x_t),
+               consonance(x_t), qd_t)
+    rows = [[_fmt(v) for v in values] + cell
+            for *values, cell in zip(*columns, cells)]
     if footnote:
         rows.append([footnote])
-    return header, rows
+    return _header("trace", cfg, TRACE_COLUMNS), rows
 
 
 def run_sweep_n(cfg: ScenarioConfig, n_values):
     """Pulse-number sweep: one row per (n, regime) with the attenuation and
     QSLT columns evaluated at the regime's observation time (short:
-    tau_d = tau_f; long: the configured tau_d)."""
+    tau_d = tau_f; long: the configured tau_d).
+
+    Each regime's QSLT window ends at its own evaluation time, so
+    ``qsl_window`` = running and fixed give identical rows.
+    """
     if not n_values:
         raise ValueError("n_values must be nonempty")
     params = SpectralParams(cfg.s, cfg.eta, cfg.omega_c)
     rho0 = initial_state(cfg)
-    frozen = cfg.eta == 0.0
-    try:
-        pref = phi0(rho0)
-    except NoCoherenceError:
-        pref = None
+    t_evals = np.array([cfg.tau_f, cfg.tau_d])
 
-    header = ["# dephasing-pdd sweep-n"]
-    # the output path is run-local, not part of the scenario; keep the
-    # echoed header byte-stable across destinations
-    echo = replace(cfg, out=None)
-    header += [f"# {line}" for line in echo.to_text().splitlines()]
-    header.append(",".join(SWEEP_COLUMNS))
-
-    rows = []
+    rows, footnotes = [], set()
     for n in n_values:
         schedule = pdd_schedule(int(n), cfg.tau_f)
         protocol = ControlProtocol(ProtocolTag(cfg.protocol), schedule)
-        for regime, t_eval in (("short", cfg.tau_f), ("long", cfg.tau_d)):
-            te = np.array([t_eval])
-            q00, q10, q11 = _q_arrays(cfg, params, schedule, te)
-            qv = float(_protocol_q(cfg.protocol, q00, q10, q11)[0])
-            row = [str(int(n)), regime, _fmt(t_eval), _fmt(q00[0]),
-                   _fmt(q10[0]), _fmt(q11[0]), _fmt(qv)]
-            if pref is None or frozen:
-                row += ["", ""]
-            else:
-                q_of_t, qdot_of_t = attenuation_functions(protocol, params)
-                inputs = QslInputs(pref, q_of_t, tau_d=t_eval,
-                                   breakpoints=schedule.instants,
-                                   qdot_of_t=qdot_of_t)
-                row += [_fmt(qslt_ratio(inputs, t_eval, window=cfg.qsl_window)),
-                        _fmt(qslt_upper_bound(inputs, t_eval,
-                                              window=cfg.qsl_window))]
-            rows.append(row)
-    if pref is None:
-        rows.append([NO_COHERENCE_FOOTNOTE])
-    elif frozen:
-        rows.append([FROZEN_FOOTNOTE])
-    return header, rows
+        cols = q_columns(params, schedule, t_evals)
+        q = cols[protocol.tag]
+        cells, footnote = _qslt_cells(rho0, protocol, params, t_evals, q,
+                                      fixed=False)
+        footnotes.add(footnote)
+        for i, regime in enumerate(("short", "long")):
+            rows.append([str(int(n)), regime, _fmt(t_evals[i]),
+                         *(_fmt(cols[tag][i]) for tag in _CSV_TAGS),
+                         _fmt(q[i]), *cells[i]])
+    # a footnote stands only when it explains every row
+    if len(footnotes) == 1 and None not in footnotes:
+        rows.append([footnotes.pop()])
+    return _header("sweep-n", cfg, SWEEP_COLUMNS), rows
 
 
 def render_csv(header, rows) -> str:

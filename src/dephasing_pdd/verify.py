@@ -14,7 +14,8 @@ import numpy as np
 
 from .correlations import XStateSummary, concurrence_wootters, concurrence_x
 from .dynamics import (Attenuation, ControlProtocol, ProtocolTag,
-                       TwoQubitState, q_factor, singlet, two_qubit_evolve)
+                       TwoQubitState, attenuation_functions, q_factor, singlet,
+                       two_qubit_evolve)
 from .pulses import (ControlledDecoherence, PulseSchedule,
                      controlled_gamma_quadrature, free_decoherence,
                      pdd_schedule)
@@ -139,9 +140,11 @@ def check_qslt_bounds():
     for s in (1.0, 3.0):
         p = SpectralParams(s, 0.5)
         for tag in ("Q00", "Q10", "Q11"):
-            protocol = ControlProtocol(ProtocolTag(tag), sched)
-            inputs = QslInputs(pref, lambda t, _pr=protocol: q_factor(_pr, p, t),
-                               tau_d=20.0, breakpoints=sched.instants)
+            # derivative-free route: the finder probes differences of Q
+            q_of_t, _ = attenuation_functions(
+                ControlProtocol(ProtocolTag(tag), sched), p)
+            inputs = QslInputs(pref, q_of_t, tau_d=20.0,
+                               breakpoints=sched.instants)
             for t in (2.0, 10.0, 20.0):
                 r = qslt_ratio(inputs, t, rel_tol=1e-11)
                 u = qslt_upper_bound(inputs, t)
@@ -151,9 +154,8 @@ def check_qslt_bounds():
 
 def check_baseline_degeneracy():
     p = SpectralParams(1.0, 0.5)
-    protocol = ControlProtocol(ProtocolTag.Q00)
-    inputs = QslInputs(phi0(singlet()),
-                       lambda t: q_factor(protocol, p, t), tau_d=30.0)
+    q_of_t, _ = attenuation_functions(ControlProtocol(ProtocolTag.Q00), p)
+    inputs = QslInputs(phi0(singlet()), q_of_t, tau_d=30.0)
     worst = max(abs(qslt_ratio(inputs, t) - 1.0)
                 for t in (0.5, 3.0, 10.0, 30.0))
     return CheckResult("baseline_degeneracy", worst, 1e-6)

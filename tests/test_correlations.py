@@ -113,7 +113,26 @@ class TestDiscordSinglet:
     def test_domain(self):
         with pytest.raises(ValueError):
             discord_singlet(1.5)
+        with pytest.raises(ValueError):
+            discord_singlet(np.array([0.5, -0.1]))
         discord_singlet(1.0 + 1e-13)  # rounding slack is tolerated
+
+    def test_array_matches_scalar_calls(self):
+        def reference(q):
+            # the entropy summed term by term, in the order of the formula
+            p = (1.0 + min(abs(q), 1.0)) / 2.0
+            h = 0.0
+            for w in (p, 1.0 - p):
+                if w > 0.0:
+                    h -= w * np.log2(w)
+            return 1.0 - h
+
+        qs = np.concatenate(([0.0, 1.0, 1.0 + 1e-13],
+                             np.random.default_rng(3).uniform(0.0, 1.0, 500)))
+        vec = discord_singlet(qs)
+        assert np.array_equal(vec, [reference(float(q)) for q in qs])
+        assert np.array_equal(vec, [discord_singlet(float(q)) for q in qs])
+        assert type(discord_singlet(0.5)) is float
 
 
 class TestPurity:

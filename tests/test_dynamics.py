@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephasing_pdd.dynamics import (Attenuation, ControlProtocol, ProtocolTag,
-                                    TwoQubitState, attenuation,
-                                    attenuation_factors,
-                                    attenuation_functions, bell_phi_plus,
-                                    dephasing_kraus, q_derivative, q_factor,
-                                    single_qubit_evolve, singlet,
+                                    TwoQubitState, attenuation_functions,
+                                    bell_phi_plus, dephasing_kraus, q_columns,
+                                    q_factor, single_qubit_evolve, singlet,
                                     two_qubit_evolve)
-from dephasing_pdd.pulses import pdd_schedule
-from dephasing_pdd.spectral import SpectralParams
+from dephasing_pdd.pulses import (ControlledDecoherence, free_decoherence,
+                                  pdd_schedule)
+from dephasing_pdd.spectral import SpectralParams, gamma0_derivative
 from dephasing_pdd.verify import random_x_state
 
 OHMIC = SpectralParams(1.0, 0.5)
@@ -112,14 +111,18 @@ class TestAttenuationFactors:
 
     def test_starts_at_one(self):
         for tag in ProtocolTag:
-            att = attenuation(ControlProtocol(tag, SCHED), OHMIC, 0.0)
-            assert att.q == 1.0
+            q_of_t, _ = attenuation_functions(ControlProtocol(tag, SCHED), OHMIC)
+            assert q_of_t(0.0) == 1.0
 
-    def test_factors_match_attenuation(self):
-        proto = ControlProtocol(ProtocolTag.Q10, SCHED)
-        p1, p2 = attenuation_factors(proto, OHMIC, 5.0)
-        att = attenuation(proto, OHMIC, 5.0)
-        assert (att.p1, att.p2) == (p1, p2)
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_columns_match_attenuation_functions(self, n):
+        sched = pdd_schedule(n, 10.0)
+        ts = np.linspace(0.0, 20.0, 81)
+        cols = q_columns(OHMIC, sched, ts)
+        for tag in ProtocolTag:
+            q_of_t, _ = attenuation_functions(ControlProtocol(tag, sched), OHMIC)
+            assert np.array_equal(cols[tag], q_of_t(ts))
+        assert np.array_equal(cols[ProtocolTag.Q01], cols[ProtocolTag.Q10])
 
     def test_cached_functions_match_direct(self):
         proto = ControlProtocol(ProtocolTag.Q11, SCHED)
@@ -127,17 +130,20 @@ class TestAttenuationFactors:
         ts = np.linspace(0.0, 15.0, 31)
         assert q_of_t(ts) == pytest.approx(q_factor(proto, OHMIC, ts),
                                            abs=1e-15)
-        assert qdot_of_t(ts) == pytest.approx(q_derivative(proto, OHMIC, ts),
-                                              abs=1e-15)
+        gamma = ControlledDecoherence(free_decoherence(OHMIC), SCHED,
+                                      lambda t: gamma0_derivative(OHMIC, t))
+        direct = -2.0 * gamma.derivative(ts) * np.exp(-2.0 * gamma(ts))
+        assert qdot_of_t(ts) == pytest.approx(direct, abs=1e-15)
 
     def test_q_derivative_matches_finite_difference(self):
-        proto = ControlProtocol(ProtocolTag.Q11, SCHED)
-        h = 1e-6
-        for t in (1.3, 5.2, 9.1, 13.0):  # between pulse instants
-            fd = (q_factor(proto, OHMIC, t + h)
-                  - q_factor(proto, OHMIC, t - h)) / (2.0 * h)
-            assert q_derivative(proto, OHMIC, t) == pytest.approx(
-                fd, rel=1e-6, abs=1e-10)
+        for tag in (ProtocolTag.Q10, ProtocolTag.Q11):
+            proto = ControlProtocol(tag, SCHED)
+            _, qdot_of_t = attenuation_functions(proto, OHMIC)
+            h = 1e-6
+            for t in (1.3, 5.2, 9.1, 13.0):  # between pulse instants
+                fd = (q_factor(proto, OHMIC, t + h)
+                      - q_factor(proto, OHMIC, t - h)) / (2.0 * h)
+                assert qdot_of_t(t) == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
 class TestSingleQubitChannel:

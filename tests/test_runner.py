@@ -1,5 +1,7 @@
 """Dataset assembly: grids, trace and sweep rows, CSV rendering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -77,9 +79,11 @@ class TestRunTrace:
         assert all(r[qd_col] == "" for r in data_rows(rows))
 
     def test_frozen_dynamics_footnote(self):
-        _, rows = run_trace(small_cfg(eta=0.0))
-        assert rows[-1] == [FROZEN_FOOTNOTE]
-        assert all(r[-2:] == ["", ""] for r in data_rows(rows))
+        # at eta = 1e-20 Q rounds to 1 everywhere: the ratio would be 0/0
+        for eta in (0.0, 1e-20):
+            _, rows = run_trace(small_cfg(eta=eta))
+            assert rows[-1] == [FROZEN_FOOTNOTE]
+            assert all(r[-2:] == ["", ""] for r in data_rows(rows))
 
     def test_no_coherence_footnote(self):
         cfg = small_cfg(initial_state="custom", rho11=0.4, rho22=0.3,
@@ -135,8 +139,23 @@ class TestRunSweepN:
             run_sweep_n(small_cfg(), ())
 
     def test_frozen_footnote(self):
-        _, rows = run_sweep_n(small_cfg(eta=0.0), (1,))
-        assert rows[-1] == [FROZEN_FOOTNOTE]
+        for eta in (0.0, 1e-20):
+            _, rows = run_sweep_n(small_cfg(eta=eta), (0, 1))
+            assert rows[-1] == [FROZEN_FOOTNOTE]
+            assert all(r[-2:] == ["", ""] for r in data_rows(rows))
+
+    @pytest.mark.parametrize("cfg", [
+        small_cfg(protocol="Q11"),
+        small_cfg(protocol="Q10", s=3.0, initial_state="custom", rho11=0.3,
+                  rho22=0.25, rho33=0.25, rho44=0.2, re_rho14=0.1,
+                  im_rho14=0.05, re_rho23=0.08, im_rho23=0.1),
+    ], ids=["q11_singlet", "q10_custom"])
+    def test_window_modes_give_identical_rows(self, cfg):
+        # each regime's window ends at its own evaluation time
+        _, running = run_sweep_n(cfg, (0, 3, 8))
+        _, fixed = run_sweep_n(replace(cfg, qsl_window="fixed"), (0, 3, 8))
+        assert running == fixed
+        assert all(r[-1] != "" for r in data_rows(running))
 
 
 class TestRenderCsv:
