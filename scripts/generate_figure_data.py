@@ -40,6 +40,7 @@ def main(argv=None):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
+    begin = time.perf_counter()
     for cfg, verb, extra, out in runs(out_dir):
         start = time.perf_counter()
         code = cli_main([verb, "--config", str(cfg), *extra,
@@ -47,6 +48,7 @@ def main(argv=None):
         status = "ok" if code == 0 else f"exit {code}"
         print(f"{out.name}: {status} ({time.perf_counter() - start:.1f}s)")
         failures += code != 0
+    print(f"total: {time.perf_counter() - begin:.1f}s")
     return 1 if failures else 0
 
 

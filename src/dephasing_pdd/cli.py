@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import verify as verify_mod
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, _parse_value, load_config
 from .errors import ConfigError, QuadratureError
 from .runner import render_csv, run_sweep_n, run_trace
 
@@ -74,7 +74,10 @@ def _build_config(args) -> ScenarioConfig:
             setattr(cfg, name, value)
     n_values = getattr(args, "n_values", None)
     if n_values is not None:
-        cfg.n_values = tuple(int(v) for v in n_values.split(",") if v.strip())
+        try:
+            cfg.n_values = _parse_value("n_values", n_values)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="n_values") from exc
     if args.out is not None:
         cfg.out = args.out
     cfg.validate()

@@ -108,15 +108,15 @@ class Attenuation:
 
 def _exponents(tag: ProtocolTag, p: SpectralParams, schedule):
     """Each qubit's (Gamma, dGamma/dt) callables: the controlled exponent
-    when the qubit is pulsed, the free Gamma0 otherwise.  The protocol
-    rule lives here and nowhere else."""
+    when the qubit is pulsed by a nonempty schedule, the free Gamma0
+    otherwise.  The protocol rule lives here and nowhere else."""
     free = free_decoherence(p)
 
     def free_dot(t):
         return gamma0_derivative(p, t)
 
-    pair = {False: (free, free_dot)}
-    if any(tag.pulsed):
+    pair = dict.fromkeys((False, True), (free, free_dot))
+    if any(tag.pulsed) and schedule.n_pulses:
         controlled = ControlledDecoherence(free, schedule, free_dot)
         pair[True] = (controlled, controlled.derivative)
     return [pair[pulsed] for pulsed in tag.pulsed]
@@ -128,7 +128,8 @@ def q_columns(p: SpectralParams, schedule: PulseSchedule, t):
     column is exp(-(Gamma_1 + Gamma_2)), bit-identical to the ``q_of_t``
     of :func:`attenuation_functions` for the same tag."""
     (gc, _), (g0, _) = _exponents(ProtocolTag.Q10, p, schedule)
-    gamma = {True: gc(t), False: g0(t)}
+    free = g0(t)
+    gamma = {True: free if gc is g0 else gc(t), False: free}
     return {tag: np.exp(-(gamma[tag.pulsed[0]] + gamma[tag.pulsed[1]]))
             for tag in ProtocolTag}
 

@@ -12,9 +12,9 @@ n-th and (n+1)-th pulse,
     Gamma(t) = Gamma0(t) for t <= tau_1, Gamma_N(t) beyond the last pulse.
 
 The last two sums depend only on the schedule, so they are evaluated once
-per (schedule, bath) pair; each time evaluation is then O(N).  An
-independent filter-function quadrature of the same quantity acts as the
-oracle in the tests.
+per (schedule, bath) pair; each time point then costs O(N) terms, which
+reach Gamma0 in array calls of a few thousand terms, not a Python loop
+over the pulses.  A filter-function quadrature is the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import numpy as np
 
 from .quadrature import adaptive_panel_quad, oscillation_breakpoints
 from .spectral import _TAIL_CUTOFFS, SpectralParams, gamma0_analytic
+
+_BLOCK_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -77,42 +79,42 @@ class ControlledDecoherence:
         self.base = base
         self.schedule = schedule
         self.base_derivative = base_derivative
-        taus = np.asarray(schedule.instants, dtype=float)
-        self._taus = taus
+        self._taus = taus = np.asarray(schedule.instants, dtype=float)
 
         n = len(taus)
         static = np.zeros(n + 1)
         g_tau = base(taus) if n else np.zeros(0)
         for j in range(1, n + 1):
-            inner = 0.0
-            if j >= 2:
-                diffs = taus[j - 1] - taus[: j - 1]
-                signs = (-1.0) ** (j + np.arange(1, j) + 1)
-                inner = 4.0 * float(np.dot(signs, base(diffs)))
+            signs = (-1.0) ** (j + np.arange(1, j) + 1)
+            inner = 4.0 * float(np.dot(signs, base(taus[j - 1] - taus[: j - 1])))
             static[j] = static[j - 1] + 2.0 * (-1.0) ** (j + 1) * g_tau[j - 1] + inner
         self._static = static
 
-    def _pulse_count(self, t):
-        # number of pulses strictly before t; t == tau_j stays on the
-        # left branch, which Gamma_n continuity makes equivalent
-        return np.searchsorted(self._taus, t, side="left")
-
     def _evaluate(self, fn, t, include_static):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        tt = np.asarray(t, dtype=float)
         if np.any(tt < 0):
             raise ValueError("t must be nonnegative")
-        n = self._pulse_count(tt)
-        out = (-1.0) ** n * fn(tt)
-        if include_static:
-            out = out + self._static[n]
-        for j in range(1, len(self._taus) + 1):
-            mask = n >= j
-            if not mask.any():
-                break
-            out[mask] += (
-                2.0 * (-1.0) ** (j + n[mask]) * fn(tt[mask] - self._taus[j - 1])
-            )
-        return float(out[0]) if np.ndim(t) == 0 else out
+        # n pulses strictly before t; t == tau_j stays on the left
+        # branch, which Gamma_n continuity makes equivalent
+        n = np.searchsorted(self._taus, tt.ravel(), side="left")
+        # one fn call per block of ~_BLOCK_TERMS terms keeps memory flat
+        cuts = np.searchsorted(np.cumsum(n + 1), np.arange(
+            _BLOCK_TERMS, n.sum() + n.size, _BLOCK_TERMS))
+        blocks = []
+        for tb, nb in zip(np.split(tt.ravel(), cuts), np.split(n, cuts)):
+            # point-major (point i, pulse j < n_i) pairs
+            i = np.repeat(np.arange(nb.size), nb)
+            j = np.arange(i.size) - (np.cumsum(nb) - nb)[i]
+            vals = fn(np.concatenate((tb, tb[i] - self._taus[j])))
+            block = np.where(nb % 2, -1.0, 1.0) * vals[:tb.size]
+            if include_static:
+                block = block + self._static[nb]
+            # terms 2 (-1)^(j+1+n) fn(t - tau_j), added in pulse order
+            np.add.at(block, i, np.where((j + nb[i]) % 2, 2.0, -2.0)
+                      * vals[tb.size:])
+            blocks.append(block)
+        out = np.concatenate(blocks)
+        return float(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
 
     def __call__(self, t):
         return self._evaluate(self.base, t, include_static=True)

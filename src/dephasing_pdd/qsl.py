@@ -14,10 +14,9 @@ Three routes are implemented and cross-checked against each other:
   averages taken by adaptive quadrature of |dQ/dt| (Deffner & Lutz,
   PRL 111, 010402 (2013)).
 
-By convention the driving time tau_d is bound to the evaluation time
-("running" window), which reproduces the ratio = 1 baseline of free Ohmic
-dephasing; a fixed window over the full trajectory is available as an
-option.
+The driving time tau_d is bound to the evaluation time ("running"
+window), which reproduces the ratio = 1 baseline of free Ohmic dephasing;
+``QslInputs.tau_d`` only caps the evaluation time.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .correlations import purity, relative_purity
 from .dynamics import TwoQubitState
@@ -36,6 +34,7 @@ from .quadrature import adaptive_panel_quad
 _FROZEN_TOL = 1e-14
 _SCAN_POINTS = 64
 _MAX_SCAN_ROUNDS = 10
+_MAX_REFINE_ROUNDS = 100
 
 
 def phi0(rho0: TwoQubitState) -> float:
@@ -86,24 +85,54 @@ def _slope(q_of_t, qdot_of_t, ts, a, b):
             - np.asarray(q_of_t(s), dtype=float)) / h
 
 
+def _refine(probe, x1, f1, x2, f2, rtol):
+    """Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)) on all
+    brackets [x1, x2] at once, one ``probe`` call per round.  Each returns
+    its end of smaller |f| once narrower than 1e-13 + rtol |x| (brentq's)."""
+    x3, f3, t = x2, f2, np.full(len(x1), 0.5)
+    k, root = np.arange(len(x1)), np.empty(len(x1))
+    for _ in range(_MAX_REFINE_ROUNDS):
+        xm = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+        tol, dx = 1e-13 + rtol * np.abs(xm), np.abs(x2 - x1)
+        done = (dx < tol) | (np.minimum(np.abs(f1), np.abs(f2)) == 0.0)
+        root[k[done]] = xm[done]
+        k, x1, f1, x2, f2, x3, f3, t, tol, dx = (
+            v[~done] for v in (k, x1, f1, x2, f2, x3, f3, t, tol, dx))
+        if not k.size:
+            return root
+        tl = 0.5 * tol / dx  # no step closer than tol / 2 to either end
+        xt = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        ft = probe(xt, k)
+        flip = np.sign(ft) != np.sign(f1)
+        x1, x2, x3 = xt, np.where(flip, x1, x2), np.where(flip, x2, x1)
+        f1, f2, f3 = ft, np.where(flip, f1, f2), np.where(flip, f2, f1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1)
+                   * f1 / (f3 - f1) * f2 / (f3 - f2))
+        # inverse quadratic interpolation where safe, else bisection
+        t = np.where((phi ** 2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), iqi, 0.5)
+    raise QuadratureError(f"extrema did not converge in {_MAX_REFINE_ROUNDS} rounds")
+
+
 def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     """Zeros of dQ/dt inside every segment (a[k], b[k]): one sign scan of
     all segments at once, doubled until each segment's count of sign
-    changes repeats, then one Brent refinement per bracket.  Scan ends are
-    nudged inward, off the wrong side of a pulse instant."""
+    changes repeats, then :func:`_refine` of every bracket at once.  Scan
+    ends are nudged inward, off the wrong side of a pulse instant."""
     counts = None
     n = _SCAN_POINTS
     for _ in range(_MAX_SCAN_ROUNDS):
         ts = np.linspace(a, b, n + 1, axis=-1)
         ts[:, 0] = np.nextafter(a, b)
         ts[:, -1] = np.nextafter(b, a)
-        sign = np.sign(_slope(q_of_t, qdot_of_t, ts.ravel(),
-                              np.repeat(a, n + 1), np.repeat(b, n + 1)))
-        row, col = np.nonzero(sign.reshape(ts.shape))
+        slope = _slope(q_of_t, qdot_of_t, ts.ravel(), np.repeat(a, n + 1),
+                       np.repeat(b, n + 1)).reshape(ts.shape)
+        row, col = np.nonzero(slope)
         # pair consecutive nonzero samples of a row, so a zero plateau
         # contributes at most one node; a plateau between equal signs
         # hides no extremum that moves the variation
-        flat = sign.reshape(ts.shape)[row, col]
+        flat = np.sign(slope[row, col])
         change = (row[1:] == row[:-1]) & (flat[1:] != flat[:-1])
         new_counts = np.bincount(row[1:][change], minlength=len(a))
         if counts is not None and np.array_equal(new_counts, counts):
@@ -115,15 +144,13 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
             f"extrema scan over {len(a)} segments did not stabilize "
             f"within {_MAX_SCAN_ROUNDS} doublings")
 
-    def probe(t, lo, hi):
-        return _slope(q_of_t, qdot_of_t, t, lo, hi).item()
-
-    rtol = max(rel_tol, 4.0 * np.finfo(float).eps)
-    pairs = zip(row[1:][change], col[:-1][change], col[1:][change])
-    return np.array([ts[r, (i + j) // 2] if j > i + 1 else
-                     brentq(probe, ts[r, i], ts[r, j], args=(a[r], b[r]),
-                            xtol=1e-13, rtol=rtol)
-                     for r, i, j in pairs], dtype=float)
+    r, i, j = row[1:][change], col[:-1][change], col[1:][change]
+    # a zero plateau yields its middle sample: a bracket closed at once
+    plateau = j > i + 1
+    i[plateau] = j[plateau] = (i + j)[plateau] // 2
+    return _refine(lambda t, k: _slope(q_of_t, qdot_of_t, t, a[r[k]], b[r[k]]),
+                   ts[r, i], slope[r, i], ts[r, j], slope[r, j],
+                   max(rel_tol, 4.0 * np.finfo(float).eps))
 
 
 def _nodes(q_of_t, qdot_of_t, t_start, t_end, breakpoints, rel_tol):
@@ -143,7 +170,7 @@ def total_variation(q_of_t, t_end, breakpoints=(), t_start=0.0,
     between consecutive extrema and segment edges, exact up to the
     root-location error, which enters only quadratically.
 
-    ``rel_tol`` is the relative tolerance of the Brent refinement of each
+    ``rel_tol`` is the relative tolerance of the refinement of each
     extremum (floored at 4 machine epsilons).  Without ``qdot_of_t`` the
     extrema are the zeros of a forward difference of Q.
     """
@@ -172,24 +199,20 @@ def cumulative_total_variation(q_of_t, ts_eval, breakpoints=(),
     return cum[np.searchsorted(grid, ts_eval)]
 
 
-def _window(inputs: QslInputs, t_eval, window):
+def _check_t_eval(inputs: QslInputs, t_eval):
     if not 0.0 < t_eval <= inputs.tau_d * (1 + 1e-12):
         raise ValueError(f"t_eval must lie in (0, tau_d], got {t_eval}")
-    if window == "running":
-        return t_eval
-    if window == "fixed":
-        return inputs.tau_d
-    raise ValueError(f"unknown window mode {window!r}")
 
 
-def qslt_ratio(inputs: QslInputs, t_eval, window="running", rel_tol=1e-9):
-    """tau_QSL / tau_d = Phi0 |1 - Q(t_eval)| / int_0^tau_d |dQ/dt| dt.
+def qslt_ratio(inputs: QslInputs, t_eval, rel_tol=1e-9):
+    """tau_QSL / tau_d = Phi0 |1 - Q(t_eval)| / int_0^tau_d |dQ/dt| dt,
+    with tau_d = t_eval.
 
     Raises :class:`FrozenDynamicsError` when Q never leaves 1 on the
     window (zero total variation).
     """
-    tau_d = _window(inputs, t_eval, window)
-    tv = total_variation(inputs.q_of_t, tau_d,
+    _check_t_eval(inputs, t_eval)
+    tv = total_variation(inputs.q_of_t, t_eval,
                          breakpoints=inputs.breakpoints, rel_tol=rel_tol,
                          qdot_of_t=inputs.qdot_of_t)
     num = inputs.phi0 * abs(1.0 - float(np.asarray(inputs.q_of_t(t_eval)).item()))
@@ -198,22 +221,22 @@ def qslt_ratio(inputs: QslInputs, t_eval, window="running", rel_tol=1e-9):
     return num / tv
 
 
-def qslt_upper_bound(inputs: QslInputs, t_eval, window="running"):
-    """Analytic bound Phi0 (1 - Q(t_eval)) / (1 - Q(tau_d)).
+def qslt_upper_bound(inputs: QslInputs, t_eval):
+    """Analytic bound Phi0 (1 - Q(t_eval)) / (1 - Q(tau_d)), tau_d = t_eval.
 
     Equals :func:`qslt_ratio` whenever Q is monotone on the window; with
-    the running convention (tau_d bound to t_eval) it is Phi0 away from
-    exact revivals and 0 at them.
+    the window bound to t_eval it is Phi0 away from exact revivals and 0
+    at them.
     """
-    tau_d = _window(inputs, t_eval, window)
+    _check_t_eval(inputs, t_eval)
     q_eval = float(np.asarray(inputs.q_of_t(t_eval)).item())
     num = inputs.phi0 * (1.0 - q_eval)
     if abs(num) <= _FROZEN_TOL:
-        probe = np.asarray(inputs.q_of_t(np.linspace(0.0, tau_d, 65)))
+        probe = np.asarray(inputs.q_of_t(np.linspace(0.0, t_eval, 65)))
         if np.max(np.abs(1.0 - probe)) <= _FROZEN_TOL:
             raise FrozenDynamicsError("Q(t) = 1 on the whole window")
         return 0.0
-    den = 1.0 - float(np.asarray(inputs.q_of_t(tau_d)).item())
+    den = 1.0 - float(np.asarray(inputs.q_of_t(t_eval)).item())
     if abs(den) <= _FROZEN_TOL:
         raise FrozenDynamicsError("Q(tau_d) = 1, bound denominator vanishes")
     return num / den

@@ -127,6 +127,10 @@ class TestCli:
         assert cli.main(["trace", *argv]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_bad_n_values_is_config_error(self, capsys):
+        assert cli.main(["sweep-n", "--n-values", "5,abc"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(cfg):
             raise QuadratureError("synthetic", estimate=0.0,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dephasing_pdd import pulses
 from dephasing_pdd.dynamics import (Attenuation, ControlProtocol, ProtocolTag,
                                     TwoQubitState, attenuation_functions,
                                     bell_phi_plus, dephasing_kraus, q_columns,
@@ -12,7 +13,8 @@ from dephasing_pdd.dynamics import (Attenuation, ControlProtocol, ProtocolTag,
                                     two_qubit_evolve)
 from dephasing_pdd.pulses import (ControlledDecoherence, free_decoherence,
                                   pdd_schedule)
-from dephasing_pdd.spectral import SpectralParams, gamma0_derivative
+from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
+                                    gamma0_derivative)
 from dephasing_pdd.verify import random_x_state
 
 OHMIC = SpectralParams(1.0, 0.5)
@@ -123,6 +125,18 @@ class TestAttenuationFactors:
             q_of_t, _ = attenuation_functions(ControlProtocol(tag, sched), OHMIC)
             assert np.array_equal(cols[tag], q_of_t(ts))
         assert np.array_equal(cols[ProtocolTag.Q01], cols[ProtocolTag.Q10])
+
+    def test_columns_evaluate_gamma0_once_without_pulses(self, monkeypatch):
+        points = []
+
+        def counting(p, t):
+            points.append(np.size(t))
+            return gamma0_analytic(p, t)
+
+        monkeypatch.setattr(pulses, "gamma0_analytic", counting)
+        ts = np.linspace(0.0, 20.0, 2001)
+        q_columns(OHMIC, pdd_schedule(0, 10.0), ts)
+        assert sum(points) == ts.size
 
     def test_cached_functions_match_direct(self):
         proto = ControlProtocol(ProtocolTag.Q11, SCHED)

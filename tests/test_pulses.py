@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dephasing_pdd import pulses
 from dephasing_pdd.pulses import (ControlledDecoherence, PulseSchedule,
                                   controlled_gamma_quadrature,
                                   free_decoherence, pdd_schedule)
@@ -12,6 +13,20 @@ from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
                                     gamma0_derivative)
 
 OHMIC = SpectralParams(1.0, 0.5)
+
+
+def per_pulse_reference(gamma, fn, t, include_static):
+    """Gamma or dGamma/dt of ``gamma`` summed one pulse at a time."""
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    taus = np.asarray(gamma.schedule.instants, dtype=float)
+    n = np.searchsorted(taus, tt, side="left")
+    out = (-1.0) ** n * fn(tt)
+    if include_static:
+        out = out + gamma._static[n]
+    for j in range(1, len(taus) + 1):
+        mask = n >= j
+        out[mask] += 2.0 * (-1.0) ** (j + n[mask]) * fn(tt[mask] - taus[j - 1])
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def schedules(max_pulses=8, tau_f=10.0):
@@ -81,6 +96,26 @@ class TestControlledDecoherence:
         vec = gamma(ts)
         assert vec.shape == ts.shape
         assert vec == pytest.approx([gamma(float(t)) for t in ts])
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 100])
+    def test_matches_per_pulse_reference(self, n):
+        sched = pdd_schedule(n, 10.0)
+        rng = np.random.default_rng(n)
+        ts = np.concatenate(([0.0], sched.instants, rng.uniform(0.0, 25.0, 300)))
+        rng.shuffle(ts)
+        for p in (OHMIC, SpectralParams(3.0, 0.5)):
+            base = free_decoherence(p)
+            base_dot = lambda t: gamma0_derivative(p, t)
+            gamma = ControlledDecoherence(base, sched, base_dot)
+            for t in (ts, float(ts[1]), sched.spacing * (n // 2 + 1)):
+                assert np.array_equal(gamma(t),
+                                      per_pulse_reference(gamma, base, t, True))
+                assert np.array_equal(
+                    gamma.derivative(t),
+                    per_pulse_reference(gamma, base_dot, t, False))
+        if n == 100:  # the terms of ts fill several blocks
+            terms = np.searchsorted(sched.instants, ts).sum()
+            assert terms > 3 * pulses._BLOCK_TERMS
 
     def test_rejects_negative_time(self):
         gamma = ControlledDecoherence(free_decoherence(OHMIC),

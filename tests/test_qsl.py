@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from dephasing_pdd.dynamics import (ControlProtocol, ProtocolTag,
                                     TwoQubitState, attenuation_functions,
@@ -10,9 +11,9 @@ from dephasing_pdd.dynamics import (ControlProtocol, ProtocolTag,
 from dephasing_pdd.errors import (FrozenDynamicsError, NoCoherenceError,
                                   QuadratureError)
 from dephasing_pdd.pulses import pdd_schedule
-from dephasing_pdd.qsl import (QslInputs, cumulative_total_variation, phi0,
-                               qslt_general, qslt_ratio, qslt_upper_bound,
-                               total_variation)
+from dephasing_pdd.qsl import (QslInputs, _extrema,
+                               cumulative_total_variation, phi0, qslt_general,
+                               qslt_ratio, qslt_upper_bound, total_variation)
 from dephasing_pdd.spectral import SpectralParams
 
 OHMIC = SpectralParams(1.0, 0.5)
@@ -70,6 +71,45 @@ class TestTotalVariation:
             [np.linspace(a, b, 200_001) for a, b in zip(edges[:-1], edges[1:])]))
         dense = float(np.abs(np.diff(q(grid))).sum())
         assert dense == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("s", [1.0, 3.0])
+    def test_large_n_matches_dense_grid(self, s):
+        # the last 20 segments of a 200-pulse train and the free tail
+        # after it, where Q has one sharp extremum per segment; oracle as
+        # above on a grid of spacing 1e-5 (each segment is 0.05 long)
+        sched = pdd_schedule(200, 10.0)
+        q, qd = protocol_functions("Q11", SpectralParams(s, 0.5), sched)
+        t_start, t_end = 9.5, 10.5
+        exact = total_variation(q, t_end, breakpoints=sched.instants,
+                                t_start=t_start, qdot_of_t=qd)
+        edges = [t_start, *(x for x in sched.instants if x > t_start), t_end]
+        grid = np.unique(np.concatenate(
+            [np.linspace(a, b, int(np.ceil((b - a) / 1e-5)) + 1)
+             for a, b in zip(edges[:-1], edges[1:])]))
+        dense = float(np.abs(np.diff(q(grid))).sum())
+        assert dense == pytest.approx(exact, rel=1e-8)
+
+    def test_refined_extrema_match_brentq(self):
+        sched = pdd_schedule(12, 10.0)
+        q, qd = protocol_functions("Q11", SpectralParams(3.0, 0.5), sched)
+        edges = np.array([0.0, *sched.instants, 20.0])
+        roots = np.sort(_extrema(q, qd, edges[:-1], edges[1:], 0.0))
+        ref = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            ts = np.linspace(a, b, 4097)[1:-1]
+            sign = np.sign(qd(ts))
+            for k in np.flatnonzero(sign[1:] != sign[:-1]):
+                ref.append(brentq(lambda t: float(qd(t)), ts[k], ts[k + 1],
+                                  xtol=1e-13, rtol=4 * np.finfo(float).eps))
+        assert len(ref) > 10
+        assert np.max(np.abs(roots - np.sort(ref))) <= 1e-12
+
+    def test_unconverged_refinement_raises(self):
+        # a sign step is never interpolated, so its bracket of width
+        # 1.6e298 would take ~1,000 bisections to reach 1e-13
+        with pytest.raises(QuadratureError, match="did not converge"):
+            total_variation(lambda t: np.abs(t - 0.1), 1e300,
+                            qdot_of_t=lambda t: np.sign(t - 0.1))
 
     def test_resolves_shallow_ripples(self):
         # beyond the pulse train Q10 carries ripples whose contributions
@@ -140,24 +180,14 @@ class TestQsltRatio:
         assert qslt_ratio(without, t) == pytest.approx(
             qslt_ratio(with_qdot, t), rel=1e-10)
 
-    def test_window_validation(self):
+    def test_t_eval_validation(self):
         q, qd = protocol_functions("Q00", OHMIC)
         inputs = QslInputs(1.0, q, tau_d=10.0, qdot_of_t=qd)
-        with pytest.raises(ValueError, match="t_eval"):
-            qslt_ratio(inputs, 0.0)
-        with pytest.raises(ValueError, match="t_eval"):
-            qslt_ratio(inputs, 11.0)
-        with pytest.raises(ValueError, match="window"):
-            qslt_ratio(inputs, 5.0, window="sliding")
-
-    def test_fixed_window_uses_full_trajectory(self):
-        q, qd = protocol_functions("Q00", OHMIC, pdd_schedule(0, 10.0))
-        inputs = QslInputs(1.0, q, tau_d=20.0, qdot_of_t=qd)
-        t = 5.0
-        fixed = qslt_ratio(inputs, t, window="fixed")
-        qa = float(np.asarray(q(np.array([t]))).item())
-        qb = float(np.asarray(q(np.array([20.0]))).item())
-        assert fixed == pytest.approx((1.0 - qa) / (1.0 - qb), rel=1e-8)
+        for bound in (qslt_ratio, qslt_upper_bound):
+            with pytest.raises(ValueError, match="t_eval"):
+                bound(inputs, 0.0)
+            with pytest.raises(ValueError, match="t_eval"):
+                bound(inputs, 11.0)
 
     def test_frozen_dynamics_raises(self):
         one = lambda t: np.ones_like(np.asarray(t, dtype=float))
