@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verify-check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import verify as verify_mod
@@ -44,7 +45,10 @@ def _add_scenario_flags(sub):
                          help=help_text or "custom X-state entry")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: each ``parse_args``
+    call fills a fresh namespace, so calls do not share parsed values."""
     parser = argparse.ArgumentParser(
         prog="dephasing-pdd",
         description="Two-qubit dephasing with periodic dynamical decoupling: "
@@ -119,7 +123,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, FloatingPointError) as exc:
+    except (QuadratureError, FloatingPointError, ValueError) as exc:
+        # a ValueError past validation is a numerical one, e.g. pulse
+        # instants that underflow to equal values at a tiny tau_f
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -115,19 +115,30 @@ def _refine(probe, x1, f1, x2, f2, rtol):
     raise QuadratureError(f"extrema did not converge in {_MAX_REFINE_ROUNDS} rounds")
 
 
+def _interleave(even, odd):
+    """Rows of ``even`` with ``odd`` slotted between consecutive columns."""
+    out = np.empty((even.shape[0], even.shape[1] + odd.shape[1]))
+    out[:, ::2], out[:, 1::2] = even, odd
+    return out
+
+
 def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     """Zeros of dQ/dt inside every segment (a[k], b[k]): one sign scan of
-    all segments at once, doubled until each segment's count of sign
-    changes repeats, then :func:`_refine` of every bracket at once.  Scan
-    ends are nudged inward, off the wrong side of a pulse instant."""
-    counts = None
-    n = _SCAN_POINTS
-    for _ in range(_MAX_SCAN_ROUNDS):
-        ts = np.linspace(a, b, n + 1, axis=-1)
-        ts[:, 0] = np.nextafter(a, b)
-        ts[:, -1] = np.nextafter(b, a)
-        slope = _slope(q_of_t, qdot_of_t, ts.ravel(), np.repeat(a, n + 1),
-                       np.repeat(b, n + 1)).reshape(ts.shape)
+    all segments at once, 64 intervals per segment, each round halving
+    every interval and probing only the new midpoints, until each
+    segment's count of sign changes repeats; then :func:`_refine` of every
+    bracket at once.  Scan ends are nudged inward, off the wrong side of a
+    pulse instant."""
+    def probe(ts):
+        m = ts.shape[1]
+        return _slope(q_of_t, qdot_of_t, ts.ravel(), np.repeat(a, m),
+                      np.repeat(b, m)).reshape(ts.shape)
+
+    ts = np.linspace(a, b, _SCAN_POINTS + 1, axis=-1)
+    ts[:, 0] = np.nextafter(a, b)
+    ts[:, -1] = np.nextafter(b, a)
+    slope, counts = probe(ts), None
+    for rounds in range(1, _MAX_SCAN_ROUNDS + 1):
         row, col = np.nonzero(slope)
         # pair consecutive nonzero samples of a row, so a zero plateau
         # contributes at most one node; a plateau between equal signs
@@ -137,12 +148,13 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
         new_counts = np.bincount(row[1:][change], minlength=len(a))
         if counts is not None and np.array_equal(new_counts, counts):
             break
+        if rounds == _MAX_SCAN_ROUNDS:
+            raise QuadratureError(
+                f"extrema scan over {len(a)} segments did not stabilize "
+                f"within {_MAX_SCAN_ROUNDS} doublings")
         counts = new_counts
-        n *= 2
-    else:
-        raise QuadratureError(
-            f"extrema scan over {len(a)} segments did not stabilize "
-            f"within {_MAX_SCAN_ROUNDS} doublings")
+        mid = 0.5 * (ts[:, :-1] + ts[:, 1:])
+        ts, slope = _interleave(ts, mid), _interleave(slope, probe(mid))
 
     r, i, j = row[1:][change], col[:-1][change], col[1:][change]
     # a zero plateau yields its middle sample: a bracket closed at once
@@ -236,7 +248,7 @@ def qslt_upper_bound(inputs: QslInputs, t_eval):
         if np.max(np.abs(1.0 - probe)) <= _FROZEN_TOL:
             raise FrozenDynamicsError("Q(t) = 1 on the whole window")
         return 0.0
-    den = 1.0 - float(np.asarray(inputs.q_of_t(t_eval)).item())
+    den = 1.0 - q_eval
     if abs(den) <= _FROZEN_TOL:
         raise FrozenDynamicsError("Q(tau_d) = 1, bound denominator vanishes")
     return num / den

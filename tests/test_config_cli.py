@@ -139,6 +139,22 @@ class TestCli:
         assert cli.main(["trace"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_underflowing_pulse_spacing_is_numerical_failure(self, capsys):
+        # at tau_f = 5e-324 the pulse instants underflow to equal values
+        assert cli.main(["trace", "--tau-f", "5e-324",
+                         "--tau-d", "5e-324"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_reused_parser_does_not_leak_flags(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_trace",
+                            lambda cfg: seen.append(cfg) or ([], []))
+        assert cli.main(["trace", "--eta", "0.7"]) == 0
+        assert cli.main(["trace"]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert seen[0].eta == 0.7
+        assert seen[1].eta == ScenarioConfig().eta
+
     def test_verify_exit_codes(self, monkeypatch, capsys):
         calls = {}
 

@@ -104,6 +104,21 @@ class TestTotalVariation:
         assert len(ref) > 10
         assert np.max(np.abs(roots - np.sort(ref))) <= 1e-12
 
+    def test_scan_probes_only_new_midpoints(self):
+        # a scan that stabilizes after two rounds: 65 samples per segment,
+        # then only the 64 new midpoints, then one probe per bracket
+        sizes = []
+
+        def qd(t):
+            sizes.append(np.size(t))
+            return -np.sin(np.asarray(t))
+
+        edges = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
+        roots = _extrema(None, qd, edges[:-1], edges[1:], 0.0)
+        assert sizes[:3] == [4 * 65, 4 * 64, 3]
+        assert np.sort(roots) == pytest.approx(np.pi * np.arange(1, 4),
+                                               abs=1e-12)
+
     def test_unconverged_refinement_raises(self):
         # a sign step is never interpolated, so its bracket of width
         # 1.6e298 would take ~1,000 bisections to reach 1e-13

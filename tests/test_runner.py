@@ -10,9 +10,9 @@ from dephasing_pdd.correlations import concurrence_wootters
 from dephasing_pdd.dynamics import Attenuation, two_qubit_evolve
 from dephasing_pdd.pulses import pdd_schedule
 from dephasing_pdd.runner import (FROZEN_FOOTNOTE, NO_COHERENCE_FOOTNOTE,
-                                  SWEEP_COLUMNS, TRACE_COLUMNS, initial_state,
-                                  render_csv, run_sweep_n, run_trace,
-                                  time_grid)
+                                  SWEEP_COLUMNS, TRACE_COLUMNS, _cells,
+                                  initial_state, render_csv, run_sweep_n,
+                                  run_trace, time_grid)
 
 
 def small_cfg(**kwargs):
@@ -156,6 +156,24 @@ class TestRunSweepN:
         _, fixed = run_sweep_n(replace(cfg, qsl_window="fixed"), (0, 3, 8))
         assert running == fixed
         assert all(r[-1] != "" for r in data_rows(running))
+
+
+class TestCells:
+    def test_matches_format_of_each_value(self):
+        hard = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16,
+                1e-5, 123456789.5, -123456789.5, 0.1, 1.0 / 3.0, 1.0]
+        rng = np.random.default_rng(5)
+        # arbitrary bit patterns: every exponent, subnormals, nan payloads
+        bits = rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64)
+        values = np.concatenate((hard, bits.view(np.float64),
+                                 rng.random(20_000)))
+        assert _cells(values) == [format(float(v), ".9g") for v in values]
+
+    def test_cells_outside_live_are_empty(self):
+        cells = _cells([0.5, 2.0, np.nan, 3.0],
+                       live=np.array([True, False, False, True]))
+        assert cells == ["0.5", "", "", "3"]
+        assert _cells([]) == []
 
 
 class TestRenderCsv:
