@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import verify as verify_mod
@@ -85,13 +86,22 @@ def _build_config(args) -> ScenarioConfig:
     if args.out is not None:
         cfg.out = args.out
     cfg.validate()
+    if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(cfg.out)))):
+        # checked before the run, so a bad path costs no computation
+        raise ConfigError(f"cannot write output {cfg.out!r}: not a file in "
+                          "an existing directory", field="out")
     return cfg
 
 
 def _emit(cfg, text):
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {cfg.out!r}: {exc}",
+                              field="out") from exc
     else:
         sys.stdout.write(text)
 
@@ -120,6 +130,7 @@ def main(argv=None):
                       "n_values config entry", file=sys.stderr)
                 return 2
             header, rows = run_sweep_n(cfg, cfg.n_values)
+        _emit(cfg, render_csv(header, rows))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -129,7 +140,6 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    _emit(cfg, render_csv(header, rows))
     return 0
 
 

@@ -12,6 +12,7 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -106,32 +107,120 @@ class Attenuation:
         return self.p1 * self.p2
 
 
-def _exponents(tag: ProtocolTag, p: SpectralParams, schedule):
-    """Each qubit's (Gamma, dGamma/dt) callables: the controlled exponent
-    when the qubit is pulsed by a nonempty schedule, the free Gamma0
-    otherwise.  The protocol rule lives here and nowhere else."""
-    free = free_decoherence(p)
+class Dephasing:
+    """Free and controlled exponents of one (bath, schedule) pair.
 
-    def free_dot(t):
-        return gamma0_derivative(p, t)
+    The controlled Gamma's schedule sums are set up at most once per
+    instance (on first use), so a trace or a sweep point builds one and
+    shares it between its Q columns, its trajectory and its extrema
+    search.  The protocol rule lives here and nowhere else.
+    """
 
-    pair = dict.fromkeys((False, True), (free, free_dot))
-    if any(tag.pulsed) and schedule.n_pulses:
-        controlled = ControlledDecoherence(free, schedule, free_dot)
-        pair[True] = (controlled, controlled.derivative)
-    return [pair[pulsed] for pulsed in tag.pulsed]
+    def __init__(self, p: SpectralParams, schedule: PulseSchedule | None):
+        self.free = free_decoherence(p)
+        self.schedule = schedule
+
+        def free_dot(t):
+            return gamma0_derivative(p, t)
+        self.free_dot = free_dot
+
+    @functools.cached_property
+    def controlled(self):
+        """The controlled Gamma, or None for an empty schedule."""
+        if self.schedule is None or not self.schedule.n_pulses:
+            return None
+        return ControlledDecoherence(self.free, self.schedule, self.free_dot)
+
+    def exponents(self, tag: ProtocolTag):
+        """Each qubit's (Gamma, dGamma/dt) callables: the controlled
+        exponent when the qubit is pulsed by a nonempty schedule, the free
+        Gamma0 otherwise."""
+        pair = dict.fromkeys((False, True), (self.free, self.free_dot))
+        if any(tag.pulsed) and self.controlled is not None:
+            pair[True] = (self.controlled, self.controlled.derivative)
+        return [pair[pulsed] for pulsed in tag.pulsed]
+
+    def q_columns(self, t):
+        """Q(t) for all four protocol tags, keyed by :class:`ProtocolTag`,
+        from one evaluation of Gamma0 and one of the controlled Gamma.
+        Each column is exp(-(Gamma_1 + Gamma_2)), bit-identical to the
+        ``q_of_t`` of :meth:`functions` for the same tag."""
+        free = self.free(t)
+        gamma = {True: free if self.controlled is None else self.controlled(t),
+                 False: free}
+        return {tag: np.exp(-(gamma[tag.pulsed[0]] + gamma[tag.pulsed[1]]))
+                for tag in ProtocolTag}
+
+    def functions(self, tag: ProtocolTag):
+        """(Q(t), dQ/dt) as a pair of vectorized callables.  When both
+        qubits share an exponent (Q00, Q11) it is evaluated once per call
+        and doubled, which is bit-identical to adding it to itself."""
+        (g1, d1), (g2, d2) = self.exponents(tag)
+        shared = g1 is g2
+
+        def gamma(t):
+            return 2.0 * g1(t) if shared else g1(t) + g2(t)
+
+        def gamma_dot(t):
+            return 2.0 * d1(t) if shared else d1(t) + d2(t)
+
+        def q_of_t(t):
+            return np.exp(-gamma(t))
+
+        def qdot_of_t(t):
+            return -gamma_dot(t) * np.exp(-gamma(t))
+
+        return q_of_t, qdot_of_t
+
+    def rate(self, tag: ProtocolTag):
+        """-(dGamma_1/dt + dGamma_2/dt) for ``tag``, see :class:`SignRate`."""
+        return SignRate(self, tag)
+
+
+class SignRate:
+    """-(dGamma_1/dt + dGamma_2/dt) = (dQ/dt) / Q: a positive multiple of
+    dQ/dt with the same zeros, which is all the extrema finder needs, at
+    no Gamma and no exp per probe.
+
+    Calling it evaluates the exact derivative route.  ``scan`` serves the
+    finder's sign scan: on whole segments of an equidistant train it reads
+    the rates from the one table of
+    :meth:`ControlledDecoherence.train_derivative`, which adds
+    (2 - p) dGamma0/dt for p pulsed qubits; every other segment (the free
+    decay past the train, a non-equidistant schedule, a protocol without
+    pulses) takes the exact route.
+    """
+
+    def __init__(self, dephasing: Dephasing, tag: ProtocolTag):
+        (_, self._d1), (_, self._d2) = dephasing.exponents(tag)
+        self._pulsed = sum(tag.pulsed)
+        controlled = dephasing.controlled if self._pulsed else None
+        self._table = (controlled if controlled is not None
+                       and controlled.train_spacing is not None else None)
+
+    def __call__(self, t):
+        if self._d1 is self._d2:
+            return -2.0 * self._d1(t)
+        return -(self._d1(t) + self._d2(t))
+
+    def scan(self, ts, x, a, b):
+        """Rates at ``ts``, whose row k samples segment (a[k], b[k]) at
+        t ~ a[k] + x (b[k] - a[k]) for the fractions ``x`` (ends nudged
+        inward)."""
+        out = np.empty(ts.shape)
+        exact = np.ones(len(ts), dtype=bool)
+        if self._table is not None:
+            rows, dgamma, dgamma0 = self._table.train_derivative(x, a, b)
+            out[rows] = -(self._pulsed * dgamma + (2 - self._pulsed) * dgamma0)
+            exact[rows] = False
+        if exact.any():
+            out[exact] = self(ts[exact])
+        return out
 
 
 def q_columns(p: SpectralParams, schedule: PulseSchedule, t):
-    """Q(t) for all four protocol tags, keyed by :class:`ProtocolTag`,
-    from one evaluation of Gamma0 and one of the controlled Gamma.  Each
-    column is exp(-(Gamma_1 + Gamma_2)), bit-identical to the ``q_of_t``
-    of :func:`attenuation_functions` for the same tag."""
-    (gc, _), (g0, _) = _exponents(ProtocolTag.Q10, p, schedule)
-    free = g0(t)
-    gamma = {True: free if gc is g0 else gc(t), False: free}
-    return {tag: np.exp(-(gamma[tag.pulsed[0]] + gamma[tag.pulsed[1]]))
-            for tag in ProtocolTag}
+    """Q(t) for all four protocol tags, see :meth:`Dephasing.q_columns`."""
+    return Dephasing(p, schedule).q_columns(t)
 
 
 def q_factor(protocol: ControlProtocol, p: SpectralParams, t):
@@ -144,26 +233,9 @@ def attenuation_functions(protocol: ControlProtocol, p: SpectralParams):
 
     The schedule-dependent sums are precomputed once, so prefer this over
     repeated :func:`q_factor` calls when a root finder or integrator will
-    evaluate the trajectory many times.  When both qubits share an
-    exponent (Q00, Q11) it is evaluated once per call and doubled, which
-    is bit-identical to adding it to itself.
+    evaluate the trajectory many times.
     """
-    (g1, d1), (g2, d2) = _exponents(protocol.tag, p, protocol.schedule)
-    shared = g1 is g2
-
-    def gamma(t):
-        return 2.0 * g1(t) if shared else g1(t) + g2(t)
-
-    def gamma_dot(t):
-        return 2.0 * d1(t) if shared else d1(t) + d2(t)
-
-    def q_of_t(t):
-        return np.exp(-gamma(t))
-
-    def qdot_of_t(t):
-        return -gamma_dot(t) * np.exp(-gamma(t))
-
-    return q_of_t, qdot_of_t
+    return Dephasing(p, protocol.schedule).functions(protocol.tag)
 
 
 def dephasing_kraus(gamma_factor: float):

@@ -5,7 +5,7 @@ Three routes are implemented and cross-checked against each other:
 * the X-state closed form  tau_QSL / tau_d = Phi0 |1 - Q(t)| / int |dQ/dt|,
   with the denominator computed as the total variation of Q: sum |dQ|
   over the pulse instants and the extrema of Q, which one batched
-  extrema finder locates for every caller;
+  extrema finder locates for every caller from the sign of dQ/dt alone;
 * its analytic upper bound  Phi0 (1 - Q(t)) / (1 - Q(tau_d)), tight whenever
   Q is monotone on the window;
 * the general open-system ML/MT bound built from the singular values of
@@ -128,16 +128,30 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     every interval and probing only the new midpoints, until each
     segment's count of sign changes repeats; then :func:`_refine` of every
     bracket at once.  Scan ends are nudged inward, off the wrong side of a
-    pulse instant."""
-    def probe(ts):
+    pulse instant.
+
+    Only the signs and zeros of ``qdot_of_t`` matter, so any positive
+    multiple of dQ/dt serves, and the refinement steps on its values
+    directly.  When it has a ``scan(ts, x, a, b)`` method the scan takes
+    its rates from that, row k of ``ts`` sampling segment k at the
+    fractions ``x`` of its width (the equidistant train's table,
+    :class:`~dephasing_pdd.dynamics.SignRate`); refinement probes always
+    call ``qdot_of_t`` itself.
+    """
+    scan = getattr(qdot_of_t, "scan", None)
+
+    def probe(ts, x):
+        if scan is not None:
+            return scan(ts, x, a, b)
         m = ts.shape[1]
         return _slope(q_of_t, qdot_of_t, ts.ravel(), np.repeat(a, m),
                       np.repeat(b, m)).reshape(ts.shape)
 
+    x = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)[None]
     ts = np.linspace(a, b, _SCAN_POINTS + 1, axis=-1)
     ts[:, 0] = np.nextafter(a, b)
     ts[:, -1] = np.nextafter(b, a)
-    slope, counts = probe(ts), None
+    slope, counts = probe(ts, x[0]), None
     for rounds in range(1, _MAX_SCAN_ROUNDS + 1):
         row, col = np.nonzero(slope)
         # pair consecutive nonzero samples of a row, so a zero plateau
@@ -153,8 +167,9 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
                 f"extrema scan over {len(a)} segments did not stabilize "
                 f"within {_MAX_SCAN_ROUNDS} doublings")
         counts = new_counts
-        mid = 0.5 * (ts[:, :-1] + ts[:, 1:])
-        ts, slope = _interleave(ts, mid), _interleave(slope, probe(mid))
+        mid, x_mid = (0.5 * (v[:, :-1] + v[:, 1:]) for v in (ts, x))
+        slope = _interleave(slope, probe(mid, x_mid[0]))
+        ts, x = _interleave(ts, mid), _interleave(x, x_mid)
 
     r, i, j = row[1:][change], col[:-1][change], col[1:][change]
     # a zero plateau yields its middle sample: a bracket closed at once
@@ -183,7 +198,8 @@ def total_variation(q_of_t, t_end, breakpoints=(), t_start=0.0,
     root-location error, which enters only quadratically.
 
     ``rel_tol`` is the relative tolerance of the refinement of each
-    extremum (floored at 4 machine epsilons).  Without ``qdot_of_t`` the
+    extremum (floored at 4 machine epsilons).  ``qdot_of_t`` is dQ/dt or
+    any positive multiple of it (see :func:`_extrema`).  Without it the
     extrema are the zeros of a forward difference of Q.
     """
     if t_end < t_start:
@@ -195,20 +211,29 @@ def total_variation(q_of_t, t_end, breakpoints=(), t_start=0.0,
 
 
 def cumulative_total_variation(q_of_t, ts_eval, breakpoints=(),
-                               qdot_of_t=None):
+                               qdot_of_t=None, q_eval=None):
     """Total variation of Q on [0, t] for every t in ``ts_eval`` at once.
 
     Inserts the extrema of Q into the evaluation grid and reads off exact
     partial sums, so a dense trace does not pay a separate search per
-    output row.
+    output row.  ``qdot_of_t`` is as in :func:`total_variation`; with
+    ``q_eval``, Q at ``ts_eval`` already in hand, Q is evaluated at the
+    inserted nodes only.
     """
     ts_eval = np.asarray(ts_eval, dtype=float)
     nodes = _nodes(q_of_t, qdot_of_t, 0.0, float(ts_eval.max()),
                    breakpoints, 0.0)
-    grid = np.unique(np.concatenate((ts_eval, nodes)))
-    steps = np.abs(np.diff(np.asarray(q_of_t(grid), dtype=float)))
-    cum = np.concatenate(([0.0], np.cumsum(steps)))
-    return cum[np.searchsorted(grid, ts_eval)]
+    grid, where = np.unique(np.concatenate((ts_eval, nodes)),
+                            return_inverse=True)
+    if q_eval is None:
+        q = np.asarray(q_of_t(grid), dtype=float)
+    else:
+        q, known = np.empty(len(grid)), where[:len(ts_eval)]
+        q[known] = q_eval
+        new = np.setdiff1d(np.arange(len(grid)), known, assume_unique=True)
+        q[new] = q_of_t(grid[new])
+    cum = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(q)))))
+    return cum[where[:len(ts_eval)]]
 
 
 def _check_t_eval(inputs: QslInputs, t_eval):

@@ -16,8 +16,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .correlations import (XStateSummary, concurrence_x, consonance,
                            discord_singlet)
-from .dynamics import (ControlProtocol, ProtocolTag, TwoQubitState,
-                       attenuation_functions, bell_phi_plus, q_columns,
+from .dynamics import (Dephasing, ProtocolTag, TwoQubitState, bell_phi_plus,
                        singlet)
 from .errors import NoCoherenceError
 from .pulses import pdd_schedule
@@ -84,21 +83,27 @@ def _header(kind, cfg: ScenarioConfig, columns):
             + [",".join(columns)])
 
 
-def _qslt_values(rho0, protocol, params, ts, q, fixed):
+def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
     """(qslt_ratio, qslt_upper_bound) values at every time in ``ts``, the
     mask of the cells that are defined, and a footnote when none is.  Row
     i's window is [0, ts[i]], or [0, ts[-1]] when ``fixed``; its cells
     stay empty at t = 0 and where Q stays 1 to within 1e-14 on the window
-    (0/0 ratio)."""
+    (0/0 ratio).
+
+    The total variation's extrema search scans the sign of
+    -(Gamma_1' + Gamma_2') (:class:`~dephasing_pdd.dynamics.SignRate`),
+    read off one table on the equidistant train and off the exact
+    derivative elsewhere and at every refinement probe; only the node
+    values evaluate Q itself."""
     try:
         pref = phi0(rho0)
     except NoCoherenceError:
         nan = np.full(len(ts), np.nan)
         return nan, nan, np.zeros(len(ts), dtype=bool), NO_COHERENCE_FOOTNOTE
-    q_of_t, qdot_of_t = attenuation_functions(protocol, params)
+    q_of_t, _ = dephasing.functions(tag)
     tv = cumulative_total_variation(q_of_t, ts,
-                                    breakpoints=protocol.schedule.instants,
-                                    qdot_of_t=qdot_of_t)
+                                    breakpoints=dephasing.schedule.instants,
+                                    qdot_of_t=dephasing.rate(tag), q_eval=q)
     with np.errstate(divide="ignore", invalid="ignore"):
         if fixed:
             tv = np.full_like(tv, tv[-1])
@@ -119,17 +124,18 @@ def run_trace(cfg: ScenarioConfig):
     """
     params = SpectralParams(cfg.s, cfg.eta, cfg.omega_c)
     schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
-    protocol = ControlProtocol(ProtocolTag(cfg.protocol), schedule)
+    tag = ProtocolTag(cfg.protocol)
     rho0 = initial_state(cfg)
     ts = time_grid(cfg, schedule.instants)
 
-    cols = q_columns(params, schedule, ts)
-    q = cols[protocol.tag]
+    dephasing = Dephasing(params, schedule)
+    cols = dephasing.q_columns(ts)
+    q = cols[tag]
     x_t = XStateSummary.from_state(rho0, q)
     qd_t = (_cells(discord_singlet(q)) if cfg.initial_state == "singlet"
             else [""] * len(ts))
     ratio, upper, live, footnote = _qslt_values(
-        rho0, protocol, params, ts, q, fixed=cfg.qsl_window == "fixed")
+        rho0, dephasing, tag, ts, q, fixed=cfg.qsl_window == "fixed")
 
     columns = [*map(_cells, (ts, *(cols[tag] for tag in _CSV_TAGS),
                              concurrence_x(x_t), consonance(x_t))),
@@ -151,16 +157,16 @@ def run_sweep_n(cfg: ScenarioConfig, n_values):
     if not n_values:
         raise ValueError("n_values must be nonempty")
     params = SpectralParams(cfg.s, cfg.eta, cfg.omega_c)
+    tag = ProtocolTag(cfg.protocol)
     rho0 = initial_state(cfg)
     t_evals = np.array([cfg.tau_f, cfg.tau_d])
 
     blocks, footnotes = [], set()
     for n in n_values:
-        schedule = pdd_schedule(int(n), cfg.tau_f)
-        protocol = ControlProtocol(ProtocolTag(cfg.protocol), schedule)
-        cols = q_columns(params, schedule, t_evals)
-        q = cols[protocol.tag]
-        *qslt, footnote = _qslt_values(rho0, protocol, params, t_evals, q,
+        dephasing = Dephasing(params, pdd_schedule(int(n), cfg.tau_f))
+        cols = dephasing.q_columns(t_evals)
+        q = cols[tag]
+        *qslt, footnote = _qslt_values(rho0, dephasing, tag, t_evals, q,
                                        fixed=False)
         footnotes.add(footnote)
         blocks.append((t_evals, *(cols[tag] for tag in _CSV_TAGS), q, *qslt))

@@ -15,10 +15,10 @@ the oracle in the test suite.  All times are dimensionless multiples of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as euler_gamma
 
 from .quadrature import adaptive_panel_quad, oscillation_breakpoints
 
@@ -59,6 +59,14 @@ def _as_nonnegative_array(x, name):
     return arr
 
 
+def _euler_gamma(x):
+    """Euler's Gamma of a float, inf where it overflows (s above ~171)."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def _maybe_scalar(arr, like):
     return float(arr) if np.ndim(like) == 0 else arr
 
@@ -93,7 +101,7 @@ def gamma0_analytic(p: SpectralParams, t):
     if p.is_ohmic:
         out = 0.5 * p.eta * np.log1p(u * u)
     else:
-        g = euler_gamma(p.s - 1.0)
+        g = _euler_gamma(p.s - 1.0)
         theta = np.arctan(u)
         out = p.eta * g * (
             1.0 - np.cos((p.s - 1.0) * theta)
@@ -125,7 +133,7 @@ def gamma0_derivative(p: SpectralParams, t, method="analytic", fd_step=1e-6):
         raise ValueError(f"unknown method {method!r}")
     u = p.omega_c * tt
     out = (
-        p.eta * p.omega_c * euler_gamma(p.s)
+        p.eta * p.omega_c * _euler_gamma(p.s)
         * np.sin(p.s * np.arctan(u)) * (1.0 + u * u) ** (-p.s / 2.0)
     )
     return _maybe_scalar(out, t)

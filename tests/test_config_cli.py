@@ -127,6 +127,34 @@ class TestCli:
         assert cli.main(["trace", *argv]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        lambda tmp: ["--config", str(tmp / "missing.cfg")],
+        lambda tmp: ["--config", str(tmp)],
+        lambda tmp: ["--config", str(tmp / "latin1.cfg")],
+        lambda tmp: ["--out", str(tmp / "missing_dir" / "x.csv")],
+        lambda tmp: ["--out", str(tmp)],
+    ], ids=["config_missing", "config_is_directory", "config_not_utf8",
+            "out_dir_missing", "out_is_directory"])
+    def test_bad_path_is_config_error(self, argv, tmp_path, monkeypatch,
+                                      capsys):
+        (tmp_path / "latin1.cfg").write_bytes("# r\xe9sum\xe9\neta=0.5\n"
+                                              .encode("latin-1"))
+        runs = []
+        monkeypatch.setattr(cli, "run_trace",
+                            lambda cfg: runs.append(cfg) or ([], []))
+        assert cli.main(["trace", *argv(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert runs == []  # rejected before any computation
+
+    def test_unwritable_output_is_config_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only")
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        monkeypatch.setattr(cli, "run_trace", lambda cfg: ([], []))
+        assert cli.main(["trace", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_bad_n_values_is_config_error(self, capsys):
         assert cli.main(["sweep-n", "--n-values", "5,abc"]) == 2
         assert "config error" in capsys.readouterr().err

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephasing_pdd import pulses
-from dephasing_pdd.dynamics import (Attenuation, ControlProtocol, ProtocolTag,
-                                    TwoQubitState, attenuation_functions,
+from dephasing_pdd.dynamics import (Attenuation, ControlProtocol, Dephasing,
+                                    ProtocolTag, TwoQubitState,
+                                    attenuation_functions,
                                     bell_phi_plus, dephasing_kraus, q_columns,
                                     q_factor, single_qubit_evolve, singlet,
                                     two_qubit_evolve)
 from dephasing_pdd.pulses import (ControlledDecoherence, free_decoherence,
                                   pdd_schedule)
+from dephasing_pdd.qsl import cumulative_total_variation
 from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
                                     gamma0_derivative)
 from dephasing_pdd.verify import random_x_state
@@ -158,6 +160,65 @@ class TestAttenuationFactors:
                 fd = (q_factor(proto, OHMIC, t + h)
                       - q_factor(proto, OHMIC, t - h)) / (2.0 * h)
                 assert qdot_of_t(t) == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+class TestSignRate:
+    @pytest.mark.parametrize("s", [1.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
+    def test_table_matches_exact_derivative(self, n, s):
+        # every train segment at interior and nudged end offsets, plus the
+        # free tail past the train, against the protocol rule applied to
+        # the exact ControlledDecoherence.derivative, for every tag
+        p = SpectralParams(s, 0.5)
+        sched = pdd_schedule(n, 10.0)
+        edges = np.array([0.0, *sched.instants, 30.0])
+        a, b = edges[:-1], edges[1:]
+        x = np.array([0.0, 1 / 64, 0.3, 0.5, 63 / 64, 1.0])
+        ts = a[:, None] + x * (b - a)[:, None]
+        ts[:, 0], ts[:, -1] = np.nextafter(a, b), np.nextafter(b, a)
+        dephasing = Dephasing(p, sched)
+        exact = ControlledDecoherence(free_decoherence(p), sched,
+                                      lambda t: gamma0_derivative(p, t))
+        per_qubit = {True: exact.derivative(ts),
+                     False: gamma0_derivative(p, ts)}
+        for tag in ProtocolTag:
+            got = dephasing.rate(tag).scan(ts, x, a, b)
+            want = -(per_qubit[tag.pulsed[0]] + per_qubit[tag.pulsed[1]])
+            assert (np.max(np.abs(got - want))
+                    <= 1e-12 * np.max(np.abs(want))), tag
+        # the table covers exactly the N train segments, not the tail
+        rows, _, _ = dephasing.controlled.train_derivative(x, a, b)
+        assert np.array_equal(rows, np.arange(n))
+
+    def test_call_is_a_positive_multiple_of_qdot(self):
+        dephasing = Dephasing(SpectralParams(3.0, 0.5), SCHED)
+        ts = np.linspace(0.1, 20.0, 157)
+        for tag in ProtocolTag:
+            q_of_t, qdot_of_t = dephasing.functions(tag)
+            assert np.allclose(dephasing.rate(tag)(ts) * q_of_t(ts),
+                               qdot_of_t(ts), rtol=1e-13, atol=0.0)
+
+    def test_non_equidistant_schedule_never_enters_table(self, monkeypatch):
+        calls = []
+        original = ControlledDecoherence.train_derivative
+
+        def counting(self, *args):
+            calls.append(self.schedule)
+            return original(self, *args)
+
+        monkeypatch.setattr(ControlledDecoherence, "train_derivative",
+                            counting)
+        uneven = pulses.PulseSchedule((1.0, 2.5, 3.0, 7.0), 10.0)
+        for sched in (uneven, pdd_schedule(5, 10.0)):
+            dephasing = Dephasing(OHMIC, sched)
+            q_of_t, qdot_of_t = dephasing.functions(ProtocolTag.Q11)
+            ts = np.linspace(0.0, 15.0, 31)
+            signs = cumulative_total_variation(
+                q_of_t, ts, sched.instants, dephasing.rate(ProtocolTag.Q11))
+            exact = cumulative_total_variation(q_of_t, ts, sched.instants,
+                                               qdot_of_t)
+            assert signs == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert calls and all(s is not uneven for s in calls)
 
 
 class TestSingleQubitChannel:

@@ -5,13 +5,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from dephasing_pdd.dynamics import (ControlProtocol, ProtocolTag,
+from dephasing_pdd.dynamics import (ControlProtocol, Dephasing, ProtocolTag,
                                     TwoQubitState, attenuation_functions,
                                     bell_phi_plus, singlet)
 from dephasing_pdd.errors import (FrozenDynamicsError, NoCoherenceError,
                                   QuadratureError)
 from dephasing_pdd.pulses import pdd_schedule
-from dephasing_pdd.qsl import (QslInputs, _extrema,
+from dephasing_pdd.qsl import (QslInputs, _extrema, _nodes,
                                cumulative_total_variation, phi0, qslt_general,
                                qslt_ratio, qslt_upper_bound, total_variation)
 from dephasing_pdd.spectral import SpectralParams
@@ -148,6 +148,32 @@ class TestTotalVariation:
         with pytest.raises(QuadratureError, match="did not stabilize"):
             total_variation(lambda t: np.asarray(t), 1.0, t_start=1e-4,
                             qdot_of_t=qd)
+
+    @pytest.mark.parametrize("n,s,tag", [(7, 1.0, "Q11"), (7, 3.0, "Q10"),
+                                         (100, 3.0, "Q11"), (100, 1.0, "Q10")])
+    def test_sign_route_matches_qdot_route(self, n, s, tag):
+        # the scan and refinement on -(Gamma_1' + Gamma_2'), with the
+        # train table, find the nodes of the dQ/dt route
+        sched = pdd_schedule(n, 10.0)
+        dephasing = Dephasing(SpectralParams(s, 0.5), sched)
+        q, qd = dephasing.functions(ProtocolTag(tag))
+        rate = dephasing.rate(ProtocolTag(tag))
+        signs = _nodes(q, rate, 0.0, 30.0, sched.instants, 0.0)
+        exact = _nodes(q, qd, 0.0, 30.0, sched.instants, 0.0)
+        assert len(signs) == len(exact) >= n + 2
+        assert np.max(np.abs(signs - exact)) <= 1e-12
+        ts = np.linspace(0.0, 30.0, 61)
+        assert cumulative_total_variation(
+            q, ts, sched.instants, qdot_of_t=rate) == pytest.approx(
+            cumulative_total_variation(q, ts, sched.instants, qdot_of_t=qd),
+            rel=1e-12, abs=0.0)
+
+    def test_known_q_values_give_the_same_variation(self):
+        q, qd = protocol_functions("Q11", SpectralParams(3.0, 0.5))
+        ts = np.linspace(0.0, 16.0, 97)
+        cum = cumulative_total_variation(q, ts, SCHED.instants, qd)
+        assert np.array_equal(cumulative_total_variation(
+            q, ts, SCHED.instants, qd, q_eval=q(ts)), cum)
 
     def test_cumulative_matches_pointwise(self):
         q, qd = protocol_functions("Q11", SpectralParams(3.0, 0.5))

@@ -8,7 +8,7 @@ import pytest
 from dephasing_pdd.config import ScenarioConfig
 from dephasing_pdd.correlations import concurrence_wootters
 from dephasing_pdd.dynamics import Attenuation, two_qubit_evolve
-from dephasing_pdd.pulses import pdd_schedule
+from dephasing_pdd.pulses import ControlledDecoherence, pdd_schedule
 from dephasing_pdd.runner import (FROZEN_FOOTNOTE, NO_COHERENCE_FOOTNOTE,
                                   SWEEP_COLUMNS, TRACE_COLUMNS, _cells,
                                   initial_state, render_csv, run_sweep_n,
@@ -156,6 +156,30 @@ class TestRunSweepN:
         _, fixed = run_sweep_n(replace(cfg, qsl_window="fixed"), (0, 3, 8))
         assert running == fixed
         assert all(r[-1] != "" for r in data_rows(running))
+
+
+class TestControlledBuilds:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = ControlledDecoherence.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ControlledDecoherence, "__init__", counting)
+        return calls
+
+    @pytest.mark.parametrize("protocol", ["Q00", "Q10", "Q11"])
+    def test_one_controlled_gamma_per_sweep_point(self, builds, protocol):
+        # shared by the Q columns and the extrema search
+        run_sweep_n(small_cfg(protocol=protocol), (3, 7, 0))
+        assert len(builds) == 2
+
+    def test_one_controlled_gamma_per_trace(self, builds):
+        run_trace(small_cfg(protocol="Q10"))
+        assert len(builds) == 1
 
 
 class TestCells:

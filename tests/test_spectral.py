@@ -1,10 +1,16 @@
 """Free dephasing exponent: closed form, derivative, quadrature oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dephasing_pdd
 from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
                                     gamma0_derivative, gamma0_quadrature,
                                     spectral_density)
@@ -134,3 +140,21 @@ class TestGamma0Quadrature:
             gamma0_quadrature(BATHS[0], -1.0)
         with pytest.raises(ValueError):
             gamma0_quadrature(BATHS[0], 1.0, tol=0.0)
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_leaves_scipy_out(self):
+        # numpy is the only runtime dependency; scipy serves the tests
+        src = str(Path(dephasing_pdd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, dephasing_pdd.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert loaded.strip() == "[]"
+
+    def test_large_s_gamma_overflows_to_inf(self):
+        # Euler Gamma(s) passes the float range near s = 171.6
+        rate = gamma0_derivative(SpectralParams(200.0, 0.5), 1.0)
+        assert np.isinf(rate)  # as scipy.special.gamma, no OverflowError
