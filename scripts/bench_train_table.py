@@ -39,15 +39,16 @@ def machine():
         [sys.executable, "-c", "import numpy, sys; "
          "print(sys.version.split()[0], numpy.__version__)"],
         capture_output=True, text=True, check=True).stdout.split()
-    return {"cpu": cpu, "cores": os.cpu_count(), "platform": platform.platform(),
-            "python": versions[0], "numpy": versions[1]}
+    return {"cpu": cpu, "cores": os.cpu_count(),
+            "platform": platform.platform(), "python": versions[0],
+            "numpy": versions[1]}
 
 
 def cases(n_values):
     for name in SWEEP_CONFIGS:
         for n in n_values:
-            yield f"{name}_n{n}", ["sweep-n", "--config",
-                                    f"configs/{name}.cfg", "--n-values", str(n)]
+            yield f"{name}_n{n}", ["sweep-n", "--n-values", str(n),
+                                    "--config", f"configs/{name}.cfg"]
     yield TRACE_CONFIG, ["trace", "--config", f"configs/{TRACE_CONFIG}.cfg"]
 
 

@@ -6,9 +6,9 @@ from .config import ScenarioConfig, load_config
 from .correlations import (XStateSummary, concurrence_wootters, concurrence_x,
                            consonance, discord_singlet, purity,
                            relative_purity)
-from .dynamics import (Attenuation, ControlProtocol, ProtocolTag,
-                       TwoQubitState, attenuation_functions, bell_phi_plus,
-                       dephasing_kraus, q_columns, q_factor,
+from .dynamics import (Attenuation, ControlProtocol, Dephasing, ProtocolTag,
+                       SignRate, TwoQubitState, attenuation_functions,
+                       bell_phi_plus, dephasing_kraus, q_factor,
                        single_qubit_evolve, singlet, two_qubit_evolve)
 from .errors import (ConfigError, FrozenDynamicsError, NoCoherenceError,
                      QuadratureError)

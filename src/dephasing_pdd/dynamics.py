@@ -172,10 +172,6 @@ class Dephasing:
 
         return q_of_t, qdot_of_t
 
-    def rate(self, tag: ProtocolTag):
-        """-(dGamma_1/dt + dGamma_2/dt) for ``tag``, see :class:`SignRate`."""
-        return SignRate(self, tag)
-
 
 class SignRate:
     """-(dGamma_1/dt + dGamma_2/dt) = (dQ/dt) / Q: a positive multiple of
@@ -216,11 +212,6 @@ class SignRate:
         if exact.any():
             out[exact] = self(ts[exact])
         return out
-
-
-def q_columns(p: SpectralParams, schedule: PulseSchedule, t):
-    """Q(t) for all four protocol tags, see :meth:`Dephasing.q_columns`."""
-    return Dephasing(p, schedule).q_columns(t)
 
 
 def q_factor(protocol: ControlProtocol, p: SpectralParams, t):

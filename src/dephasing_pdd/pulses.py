@@ -15,6 +15,13 @@ The last two sums depend only on the schedule, so they are evaluated once
 per (schedule, bath) pair; each time point then costs O(N) terms, which
 reach Gamma0 in array calls of a few thousand terms, not a Python loop
 over the pulses.  A filter-function quadrature is the oracle in the tests.
+
+The extrema search needs dGamma/dt only where it samples whole inter-pulse
+segments at common offsets.  On the equidistant train every segment has
+the same width, so one table of Gamma0' over the pulse lattice serves all
+of them at O(N) terms per offset
+(:meth:`ControlledDecoherence.train_derivative`); the exact per-point
+route is its fallback and oracle.
 """
 
 from __future__ import annotations

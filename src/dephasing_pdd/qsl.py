@@ -225,15 +225,15 @@ def cumulative_total_variation(q_of_t, ts_eval, breakpoints=(),
                    breakpoints, 0.0)
     grid, where = np.unique(np.concatenate((ts_eval, nodes)),
                             return_inverse=True)
+    at_eval = where[:len(ts_eval)]
     if q_eval is None:
         q = np.asarray(q_of_t(grid), dtype=float)
     else:
-        q, known = np.empty(len(grid)), where[:len(ts_eval)]
-        q[known] = q_eval
-        new = np.setdiff1d(np.arange(len(grid)), known, assume_unique=True)
-        q[new] = q_of_t(grid[new])
+        q, fresh = np.empty(len(grid)), np.ones(len(grid), dtype=bool)
+        q[at_eval], fresh[at_eval] = q_eval, False
+        q[fresh] = q_of_t(grid[fresh])
     cum = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(q)))))
-    return cum[where[:len(ts_eval)]]
+    return cum[at_eval]
 
 
 def _check_t_eval(inputs: QslInputs, t_eval):

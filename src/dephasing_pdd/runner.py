@@ -5,6 +5,11 @@ full configuration echoed back, no timestamps), numbers are formatted with
 9 significant digits, rows are in time order.  Each output column is
 formatted in bulk by :func:`_cells`, one C-level ``%`` call per column
 (the bytes of ``format(v, ".9g")``), and the columns are zipped into rows.
+
+Each trace and each sweep point builds one
+:class:`~dephasing_pdd.dynamics.Dephasing`, so the controlled Gamma is set
+up once and serves the Q columns, the node values of the total variation
+and the sign-only extrema search.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import numpy as np
 from .config import ScenarioConfig
 from .correlations import (XStateSummary, concurrence_x, consonance,
                            discord_singlet)
-from .dynamics import (Dephasing, ProtocolTag, TwoQubitState, bell_phi_plus,
-                       singlet)
+from .dynamics import (Dephasing, ProtocolTag, SignRate, TwoQubitState,
+                       bell_phi_plus, singlet)
 from .errors import NoCoherenceError
 from .pulses import pdd_schedule
 from .qsl import _FROZEN_TOL, cumulative_total_variation, phi0
@@ -101,9 +106,9 @@ def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
         nan = np.full(len(ts), np.nan)
         return nan, nan, np.zeros(len(ts), dtype=bool), NO_COHERENCE_FOOTNOTE
     q_of_t, _ = dephasing.functions(tag)
-    tv = cumulative_total_variation(q_of_t, ts,
-                                    breakpoints=dephasing.schedule.instants,
-                                    qdot_of_t=dephasing.rate(tag), q_eval=q)
+    tv = cumulative_total_variation(
+        q_of_t, ts, breakpoints=dephasing.schedule.instants,
+        qdot_of_t=SignRate(dephasing, tag), q_eval=q)
     with np.errstate(divide="ignore", invalid="ignore"):
         if fixed:
             tv = np.full_like(tv, tv[-1])

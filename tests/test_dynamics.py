@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from dephasing_pdd import pulses
 from dephasing_pdd.dynamics import (Attenuation, ControlProtocol, Dephasing,
-                                    ProtocolTag, TwoQubitState,
-                                    attenuation_functions,
-                                    bell_phi_plus, dephasing_kraus, q_columns,
-                                    q_factor, single_qubit_evolve, singlet,
+                                    ProtocolTag, SignRate, TwoQubitState,
+                                    attenuation_functions, bell_phi_plus,
+                                    dephasing_kraus, q_factor,
+                                    single_qubit_evolve, singlet,
                                     two_qubit_evolve)
 from dephasing_pdd.pulses import (ControlledDecoherence, free_decoherence,
                                   pdd_schedule)
@@ -122,7 +122,7 @@ class TestAttenuationFactors:
     def test_columns_match_attenuation_functions(self, n):
         sched = pdd_schedule(n, 10.0)
         ts = np.linspace(0.0, 20.0, 81)
-        cols = q_columns(OHMIC, sched, ts)
+        cols = Dephasing(OHMIC, sched).q_columns(ts)
         for tag in ProtocolTag:
             q_of_t, _ = attenuation_functions(ControlProtocol(tag, sched), OHMIC)
             assert np.array_equal(cols[tag], q_of_t(ts))
@@ -137,7 +137,7 @@ class TestAttenuationFactors:
 
         monkeypatch.setattr(pulses, "gamma0_analytic", counting)
         ts = np.linspace(0.0, 20.0, 2001)
-        q_columns(OHMIC, pdd_schedule(0, 10.0), ts)
+        Dephasing(OHMIC, pdd_schedule(0, 10.0)).q_columns(ts)
         assert sum(points) == ts.size
 
     def test_cached_functions_match_direct(self):
@@ -182,7 +182,7 @@ class TestSignRate:
         per_qubit = {True: exact.derivative(ts),
                      False: gamma0_derivative(p, ts)}
         for tag in ProtocolTag:
-            got = dephasing.rate(tag).scan(ts, x, a, b)
+            got = SignRate(dephasing, tag).scan(ts, x, a, b)
             want = -(per_qubit[tag.pulsed[0]] + per_qubit[tag.pulsed[1]])
             assert (np.max(np.abs(got - want))
                     <= 1e-12 * np.max(np.abs(want))), tag
@@ -195,7 +195,7 @@ class TestSignRate:
         ts = np.linspace(0.1, 20.0, 157)
         for tag in ProtocolTag:
             q_of_t, qdot_of_t = dephasing.functions(tag)
-            assert np.allclose(dephasing.rate(tag)(ts) * q_of_t(ts),
+            assert np.allclose(SignRate(dephasing, tag)(ts) * q_of_t(ts),
                                qdot_of_t(ts), rtol=1e-13, atol=0.0)
 
     def test_non_equidistant_schedule_never_enters_table(self, monkeypatch):
@@ -214,7 +214,8 @@ class TestSignRate:
             q_of_t, qdot_of_t = dephasing.functions(ProtocolTag.Q11)
             ts = np.linspace(0.0, 15.0, 31)
             signs = cumulative_total_variation(
-                q_of_t, ts, sched.instants, dephasing.rate(ProtocolTag.Q11))
+                q_of_t, ts, sched.instants,
+                SignRate(dephasing, ProtocolTag.Q11))
             exact = cumulative_total_variation(q_of_t, ts, sched.instants,
                                                qdot_of_t)
             assert signs == pytest.approx(exact, rel=1e-12, abs=0.0)

@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from dephasing_pdd.dynamics import (ControlProtocol, Dephasing, ProtocolTag,
-                                    TwoQubitState, attenuation_functions,
+                                    SignRate, TwoQubitState,
+                                    attenuation_functions,
                                     bell_phi_plus, singlet)
 from dephasing_pdd.errors import (FrozenDynamicsError, NoCoherenceError,
                                   QuadratureError)
@@ -157,7 +158,7 @@ class TestTotalVariation:
         sched = pdd_schedule(n, 10.0)
         dephasing = Dephasing(SpectralParams(s, 0.5), sched)
         q, qd = dephasing.functions(ProtocolTag(tag))
-        rate = dephasing.rate(ProtocolTag(tag))
+        rate = SignRate(dephasing, ProtocolTag(tag))
         signs = _nodes(q, rate, 0.0, 30.0, sched.instants, 0.0)
         exact = _nodes(q, qd, 0.0, 30.0, sched.instants, 0.0)
         assert len(signs) == len(exact) >= n + 2
