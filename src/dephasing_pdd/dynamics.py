@@ -175,16 +175,12 @@ class Dephasing:
 
 class SignRate:
     """-(dGamma_1/dt + dGamma_2/dt) = (dQ/dt) / Q: a positive multiple of
-    dQ/dt with the same zeros, which is all the extrema finder needs, at
-    no Gamma and no exp per probe.
-
-    Calling it evaluates the exact derivative route.  ``scan`` serves the
-    finder's sign scan: on whole segments of an equidistant train it reads
-    the rates from the one table of
-    :meth:`ControlledDecoherence.train_derivative`, which adds
-    (2 - p) dGamma0/dt for p pulsed qubits; every other segment (the free
-    decay past the train, a non-equidistant schedule, a protocol without
-    pulses) takes the exact route.
+    dQ/dt with its zeros, all the extrema finder needs, at no Gamma and no
+    exp per probe.  A call takes the exact derivative route; ``scan``
+    reads whole segments of an equidistant train off the table of
+    :meth:`ControlledDecoherence.train_derivative` (p dGamma/dt +
+    (2 - p) dGamma0/dt for p pulsed qubits) and every other segment off
+    the exact route.
     """
 
     def __init__(self, dephasing: Dephasing, tag: ProtocolTag):

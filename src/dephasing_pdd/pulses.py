@@ -136,24 +136,21 @@ class ControlledDecoherence:
         return self._evaluate(self.base_derivative, t, include_static=False)
 
     def train_derivative(self, x, a, b):
-        """dGamma/dt and dGamma0/dt on whole segments of an equidistant
-        train (``train_spacing`` delta), from one table.
+        """(rows, dGamma/dt, dGamma0/dt) on whole segments of the
+        equidistant train (``train_spacing`` delta) from one table.
 
-        Returns ``(rows, dgamma, dgamma0)``.  ``rows`` indexes the segments
-        (a[r], b[r]) that are train segments [tau_n, tau_{n+1}], n < N
-        (tau_0 = 0), read off the segment layout, never off the sample
-        times.  Row i of ``dgamma`` and ``dgamma0`` holds the rates at
-        t = tau_n + u, u = x delta, of segment rows[i], for the fractions
-        x in [0, 1]; the ends are the one-sided limits inside the segment.
-        With t - tau_j = u + k delta, k = n - j,
+        ``rows`` indexes the segments (a[r], b[r]) that are train segments
+        [tau_n, tau_{n+1}], n < N (tau_0 = 0), read off the layout, never
+        off sample times; row i of each rate holds its one-sided values
+        inside segment rows[i] at t = tau_n + x delta, for fractions x in
+        [0, 1].  With u = x delta, k = n - j,
 
             dGamma_n/dt = (-1)^n Gamma0'(u + n delta)
                           + 2 sum_{k<n} (-1)^k Gamma0'(u + k delta),
 
-        so one table Gamma0'(u + k delta), k = 0..N-1, and its alternating
-        cumulative sum give every segment at O(N) terms per offset where
-        :meth:`derivative` needs O(N) per point.  :meth:`derivative` is
-        its oracle and serves every other segment.
+        so one table Gamma0'(u + k delta) and its alternating cumulative
+        sum serve every segment at O(N) terms per offset, where
+        :meth:`derivative`, the oracle, takes O(N) per point.
         """
         taus = np.concatenate(([0.0], self._taus))
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
