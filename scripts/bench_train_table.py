@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Wall time of large-N pulse-number sweeps, each run as a fresh process.
 
-Times ``python -m dephasing_pdd sweep-n --config <cfg> --n-values N`` for
-the fig1 and fig2 sweep configs at every N given, plus the fig3 N = 10
-trace (process start-up dominates it), with ``time.perf_counter`` around
-the whole subprocess.  The median, range and samples of each case, the
-SHA-256 of its CSV, the command line and the machine go under ``--label``
-in the JSON file, next to the labels already there, so one file holds a
-before and an after measurement of the same machine.
+Times ``python -m dephasing_pdd sweep-n --n-values N --config <cfg>`` for
+the fig1 and fig2 sweep configs at N = 500, 1000 and 2000 (3 processes
+each), plus the fig3 N = 10 trace (7 processes; start-up dominates it),
+with ``time.perf_counter`` around the whole subprocess.  The median,
+range and samples of each case, the SHA-256 of its CSV, the command line
+and the machine go under ``--label`` in BENCH_train_table.json, next to
+the labels already there, so one file holds a before and an after
+measurement of the same machine.
 
 Usage:
     python3 scripts/bench_train_table.py --label after
@@ -29,6 +30,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SWEEP_CONFIGS = ("fig1_sweep_markovian", "fig2_sweep_nonmarkovian")
 TRACE_CONFIG = "fig3_trace_markovian_n10"
+N_VALUES = (500, 1000, 2000)
+REPEATS = 3
+TRACE_REPEATS = 7
+OUT = REPO / "BENCH_train_table.json"
 
 
 def machine():
@@ -44,9 +49,9 @@ def machine():
             "numpy": versions[1]}
 
 
-def cases(n_values):
+def cases():
     for name in SWEEP_CONFIGS:
-        for n in n_values:
+        for n in N_VALUES:
             yield f"{name}_n{n}", ["sweep-n", "--n-values", str(n),
                                     "--config", f"configs/{name}.cfg"]
     yield TRACE_CONFIG, ["trace", "--config", f"configs/{TRACE_CONFIG}.cfg"]
@@ -74,27 +79,20 @@ def main(argv=None):
                         help="key of this measurement in the JSON file")
     parser.add_argument("--src", default=str(REPO / "src"),
                         help="source directory of the package to time")
-    parser.add_argument("--n-values", default="500,1000,2000")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="fresh processes per sweep case")
-    parser.add_argument("--trace-repeats", type=int, default=7,
-                        help="fresh processes for the fig3 N = 10 trace")
-    parser.add_argument("--out", default=str(REPO / "BENCH_train_table.json"))
     args = parser.parse_args(argv)
 
     results = {}
-    for name, case in cases([int(n) for n in args.n_values.split(",")]):
-        repeats = args.trace_repeats if name == TRACE_CONFIG else args.repeats
+    for name, case in cases():
+        repeats = TRACE_REPEATS if name == TRACE_CONFIG else REPEATS
         results[name] = {"command": " ".join(
             ["python3", "-m", "dephasing_pdd", *case, "--out", "OUT.csv"]),
             **time_case(case, Path(args.src).resolve(), repeats)}
         print(f"{name}: median {results[name]['median_s']:.3f} s "
               f"range {results[name]['range_s']}", flush=True)
 
-    path = Path(args.out)
-    record = json.loads(path.read_text()) if path.exists() else {}
+    record = json.loads(OUT.read_text()) if OUT.exists() else {}
     record[args.label] = {"machine": machine(), "cases": results}
-    path.write_text(json.dumps(record, indent=2) + "\n")
+    OUT.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

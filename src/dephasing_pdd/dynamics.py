@@ -186,9 +186,7 @@ class SignRate:
     def __init__(self, dephasing: Dephasing, tag: ProtocolTag):
         (_, self._d1), (_, self._d2) = dephasing.exponents(tag)
         self._pulsed = sum(tag.pulsed)
-        controlled = dephasing.controlled if self._pulsed else None
-        self._table = (controlled if controlled is not None
-                       and controlled.train_spacing is not None else None)
+        self._controlled = dephasing.controlled if self._pulsed else None
 
     def __call__(self, t):
         if self._d1 is self._d2:
@@ -201,8 +199,8 @@ class SignRate:
         inward)."""
         out = np.empty(ts.shape)
         exact = np.ones(len(ts), dtype=bool)
-        if self._table is not None:
-            rows, dgamma, dgamma0 = self._table.train_derivative(x, a, b)
+        if self._controlled is not None:
+            rows, dgamma, dgamma0 = self._controlled.train_derivative(x, a, b)
             out[rows] = -(self._pulsed * dgamma + (2 - self._pulsed) * dgamma0)
             exact[rows] = False
         if exact.any():

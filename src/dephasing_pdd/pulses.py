@@ -26,6 +26,7 @@ route is its fallback and oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +97,16 @@ class ControlledDecoherence:
             inner = 4.0 * float(np.dot(signs, base(taus[j - 1] - taus[: j - 1])))
             static[j] = static[j - 1] + 2.0 * (-1.0) ** (j + 1) * g_tau[j - 1] + inner
         self._static = static
-        # pdd_schedule's equidistant train tau_j = j delta, bit for bit
-        self.train_spacing = (float(taus[0]) if n and np.array_equal(
-            taus, taus[0] * np.arange(1, n + 1)) else None)
+
+    @functools.cached_property
+    def _train_spacing(self):
+        """delta when the instants are pdd_schedule's equidistant train
+        tau_j = j delta bit for bit, else None; checked on first use."""
+        taus = self._taus
+        if len(taus) and np.array_equal(
+                taus, taus[0] * np.arange(1, len(taus) + 1)):
+            return float(taus[0])
+        return None
 
     def _evaluate(self, fn, t, include_static):
         tt = np.asarray(t, dtype=float)
@@ -137,13 +145,15 @@ class ControlledDecoherence:
 
     def train_derivative(self, x, a, b):
         """(rows, dGamma/dt, dGamma0/dt) on whole segments of the
-        equidistant train (``train_spacing`` delta) from one table.
+        equidistant train tau_j = j delta from one table.
 
         ``rows`` indexes the segments (a[r], b[r]) that are train segments
         [tau_n, tau_{n+1}], n < N (tau_0 = 0), read off the layout, never
-        off sample times; row i of each rate holds its one-sided values
-        inside segment rows[i] at t = tau_n + x delta, for fractions x in
-        [0, 1].  With u = x delta, k = n - j,
+        off sample times; it is empty when the instants are not j delta,
+        so any other schedule stays on :meth:`derivative`.  Row i of each
+        rate holds its one-sided values inside segment rows[i] at
+        t = tau_n + x delta, for fractions x in [0, 1].  With u = x delta,
+        k = n - j,
 
             dGamma_n/dt = (-1)^n Gamma0'(u + n delta)
                           + 2 sum_{k<n} (-1)^k Gamma0'(u + k delta),
@@ -152,6 +162,10 @@ class ControlledDecoherence:
         sum serve every segment at O(N) terms per offset, where
         :meth:`derivative`, the oracle, takes O(N) per point.
         """
+        delta = self._train_spacing
+        if delta is None:
+            empty = np.zeros((0, len(x)))
+            return np.zeros(0, dtype=int), empty, empty
         taus = np.concatenate(([0.0], self._taus))
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         n = np.minimum(np.searchsorted(taus, a), len(taus) - 2)
@@ -159,8 +173,7 @@ class ControlledDecoherence:
         n = n[rows]
         k = np.arange(n.max() + 1 if n.size else 0)
         table = self.base_derivative(
-            np.asarray(x, dtype=float)[:, None] * self.train_spacing
-            + self.train_spacing * k)
+            np.asarray(x, dtype=float)[:, None] * delta + delta * k)
         alt = np.where(k % 2, -table, table)
         prefix = np.zeros_like(table)
         np.cumsum(2.0 * alt[:, :-1], axis=1, out=prefix[:, 1:])

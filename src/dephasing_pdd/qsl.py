@@ -216,22 +216,22 @@ def cumulative_total_variation(q_of_t, ts_eval, breakpoints=(),
 
     Inserts the extrema of Q into the evaluation grid and reads off exact
     partial sums, so a dense trace does not pay a separate search per
-    output row.  ``qdot_of_t`` is as in :func:`total_variation`; with
-    ``q_eval``, Q at ``ts_eval`` already in hand, Q is evaluated at the
-    inserted nodes only.
+    output row.  ``qdot_of_t`` is as in :func:`total_variation`.
+    ``q_eval`` is Q at ``ts_eval`` when the caller has it already (a
+    trace's Q column), else it is evaluated here; either way Q is then
+    evaluated at the inserted nodes only.
     """
     ts_eval = np.asarray(ts_eval, dtype=float)
+    if q_eval is None:
+        q_eval = q_of_t(ts_eval)
     nodes = _nodes(q_of_t, qdot_of_t, 0.0, float(ts_eval.max()),
                    breakpoints, 0.0)
     grid, where = np.unique(np.concatenate((ts_eval, nodes)),
                             return_inverse=True)
     at_eval = where[:len(ts_eval)]
-    if q_eval is None:
-        q = np.asarray(q_of_t(grid), dtype=float)
-    else:
-        q, fresh = np.empty(len(grid)), np.ones(len(grid), dtype=bool)
-        q[at_eval], fresh[at_eval] = q_eval, False
-        q[fresh] = q_of_t(grid[fresh])
+    q, fresh = np.empty(len(grid)), np.ones(len(grid), dtype=bool)
+    q[at_eval], fresh[at_eval] = q_eval, False
+    q[fresh] = q_of_t(grid[fresh])
     cum = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(q)))))
     return cum[at_eval]
 

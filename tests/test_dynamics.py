@@ -203,8 +203,9 @@ class TestSignRate:
         original = ControlledDecoherence.train_derivative
 
         def counting(self, *args):
-            calls.append(self.schedule)
-            return original(self, *args)
+            rows, dgamma, dgamma0 = original(self, *args)
+            calls.append((self.schedule, len(rows)))
+            return rows, dgamma, dgamma0
 
         monkeypatch.setattr(ControlledDecoherence, "train_derivative",
                             counting)
@@ -219,7 +220,9 @@ class TestSignRate:
             exact = cumulative_total_variation(q_of_t, ts, sched.instants,
                                                qdot_of_t)
             assert signs == pytest.approx(exact, rel=1e-12, abs=0.0)
-        assert calls and all(s is not uneven for s in calls)
+        # the uneven train asks for the table and gets no rows
+        assert {s is uneven for s, _ in calls} == {True, False}
+        assert all((rows == 0) == (s is uneven) for s, rows in calls)
 
 
 class TestSingleQubitChannel:
