@@ -10,40 +10,46 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import fields
 
 from . import verify as verify_mod
 from .config import ScenarioConfig, _parse_value, load_config
 from .errors import ConfigError, QuadratureError
 from .runner import render_csv, run_sweep_n, run_trace
 
-_SCENARIO_FLAGS = [
-    ("--s", float, "Ohmicity exponent s"),
-    ("--eta", float, "dimensionless coupling"),
-    ("--omega-c", float, "cutoff frequency (time unit 1/omega_c)"),
-    ("--tau-f", float, "pulse-train stop time"),
-    ("--tau-d", float, "observation time"),
-    ("--n-pulses", int, "number of equally spaced pi pulses"),
-    ("--pulse-spacing", float, "inter-pulse interval (overrides --n-pulses)"),
-    ("--protocol", str, "Q00 | Q10 | Q01 | Q11"),
-    ("--initial-state", str, "singlet | bell_phi_plus | custom"),
-    ("--points-per-interval", int, "grid points per inter-pulse interval"),
-    ("--min-points", int, "minimum grid points over [0, tau_d]"),
-    ("--qsl-window", str, "running | fixed QSLT window convention"),
-    ("--rho11", float, None), ("--rho22", float, None),
-    ("--rho33", float, None), ("--rho44", float, None),
-    ("--re-rho14", float, None), ("--im-rho14", float, None),
-    ("--re-rho23", float, None), ("--im-rho23", float, None),
-]
+# help text of the flag of each ScenarioConfig field
+_FLAG_HELP = {
+    "s": "Ohmicity exponent s",
+    "eta": "dimensionless coupling",
+    "omega_c": "cutoff frequency (time unit 1/omega_c)",
+    "tau_f": "pulse-train stop time",
+    "tau_d": "observation time",
+    "n_pulses": "number of equally spaced pi pulses",
+    "pulse_spacing": "inter-pulse interval (overrides --n-pulses)",
+    "protocol": "Q00 | Q10 | Q01 | Q11",
+    "initial_state": "singlet | bell_phi_plus | custom",
+    **dict.fromkeys(("rho11", "rho22", "rho33", "rho44", "re_rho14",
+                     "im_rho14", "re_rho23", "im_rho23"),
+                    "custom X-state entry"),
+    "points_per_interval": "grid points per inter-pulse interval",
+    "min_points": "minimum grid points over [0, tau_d]",
+    "qsl_window": "running | fixed QSLT window convention",
+    "n_values": "comma-separated pulse counts, e.g. 10,20,100",
+    "out": "output CSV path (default: stdout)",
+}
 
 
-def _add_scenario_flags(sub):
+def _add_scenario_flags(sub, omit):
+    """--config plus one flag per ScenarioConfig field except ``omit``;
+    the values stay text until :func:`_build_config` parses them like
+    config-file values."""
     sub.add_argument("--config", metavar="FILE",
                      help="load a key=value config; flags override it")
-    sub.add_argument("--out", metavar="FILE",
-                     help="output CSV path (default: stdout)")
-    for flag, typ, help_text in _SCENARIO_FLAGS:
-        sub.add_argument(flag, type=typ,
-                         help=help_text or "custom X-state entry")
+    for f in fields(ScenarioConfig):
+        if f.name != omit:
+            sub.add_argument("--" + f.name.replace("_", "-"),
+                             metavar="FILE" if f.name == "out" else None,
+                             help=_FLAG_HELP[f.name])
 
 
 @functools.cache
@@ -56,35 +62,23 @@ def build_parser():
                     "attenuation traces, correlation measures and QSLT bounds.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    trace = subs.add_parser("trace", help="trajectory dataset over [0, tau_d]")
-    _add_scenario_flags(trace)
-
-    sweep = subs.add_parser("sweep-n", help="pulse-number sweep dataset")
-    _add_scenario_flags(sweep)
-    sweep.add_argument("--n-values", type=str,
-                       help="comma-separated pulse counts, e.g. 10,20,100")
-
-    ver = subs.add_parser("verify", help="run the invariant report")
-    ver.add_argument("--inject-failure", action="store_true",
-                     help=argparse.SUPPRESS)
+    _add_scenario_flags(subs.add_parser(
+        "trace", help="trajectory dataset over [0, tau_d]"), omit="n_values")
+    _add_scenario_flags(subs.add_parser(
+        "sweep-n", help="pulse-number sweep dataset"), omit=None)
+    subs.add_parser("verify", help="run the invariant report")
     return parser
 
 
 def _build_config(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    for flag, _, _ in _SCENARIO_FLAGS:
-        name = flag.lstrip("-").replace("-", "_")
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    n_values = getattr(args, "n_values", None)
-    if n_values is not None:
-        try:
-            cfg.n_values = _parse_value("n_values", n_values)
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="n_values") from exc
-    if args.out is not None:
-        cfg.out = args.out
+    for f in fields(cfg):
+        text = getattr(args, f.name, None)
+        if text is not None:
+            try:
+                setattr(cfg, f.name, _parse_value(f.name, text))
+            except ValueError as exc:
+                raise ConfigError(str(exc), field=f.name) from exc
     cfg.validate()
     if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(
             os.path.dirname(os.path.abspath(cfg.out)))):
@@ -110,25 +104,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
 
     if args.command == "verify":
-        results = verify_mod.run_checks(inject_failure=args.inject_failure)
+        results = verify_mod.run_checks()
         for result in results:
             print(result.line())
         return 0 if all(r.passed for r in results) else 1
 
     try:
         cfg = _build_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "trace":
             header, rows = run_trace(cfg)
         else:
             if not cfg.n_values:
-                print("config error: sweep-n requires --n-values or an "
-                      "n_values config entry", file=sys.stderr)
-                return 2
+                raise ConfigError("sweep-n requires --n-values or an "
+                                  "n_values config entry")
             header, rows = run_sweep_n(cfg, cfg.n_values)
         _emit(cfg, render_csv(header, rows))
     except ConfigError as exc:

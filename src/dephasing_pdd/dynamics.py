@@ -24,6 +24,7 @@ from .spectral import SpectralParams, gamma0_derivative
 _HERMITICITY_ATOL = 1e-10
 _TRACE_ATOL = 1e-12
 _PSD_FLOOR = -1e-10
+_X_STATE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,11 @@ class TwoQubitState:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def is_x_state(self, atol=1e-12):
+    def is_x_state(self):
         off = self.matrix.copy()
         off[np.eye(4, dtype=bool)] = 0
         off[0, 3] = off[3, 0] = off[1, 2] = off[2, 1] = 0
-        return bool(np.all(np.abs(off) <= atol))
+        return bool(np.all(np.abs(off) <= _X_STATE_ATOL))
 
 
 def singlet() -> TwoQubitState:

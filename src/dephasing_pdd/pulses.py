@@ -79,8 +79,9 @@ class ControlledDecoherence:
     """Gamma(t) evaluator for one (free exponent, schedule) pair.
 
     ``base`` is the free exponent Gamma0 as a vectorized callable of time.
-    The schedule-only partial sums are cached at construction, so the
-    instance is read-only afterwards and safe to share across threads.
+    The schedule-only partial sums are computed at construction; the
+    train spacing behind :meth:`train_derivative` is cached on first use,
+    so the instance is not read-only (racing threads compute one value).
     """
 
     def __init__(self, base, schedule: PulseSchedule, base_derivative=None):

@@ -210,20 +210,17 @@ def total_variation(q_of_t, t_end, breakpoints=(), t_start=0.0,
     return float(np.abs(np.diff(np.asarray(q_of_t(nodes), dtype=float))).sum())
 
 
-def cumulative_total_variation(q_of_t, ts_eval, breakpoints=(),
-                               qdot_of_t=None, q_eval=None):
+def cumulative_total_variation(q_of_t, ts_eval, q_eval, breakpoints=(),
+                               qdot_of_t=None):
     """Total variation of Q on [0, t] for every t in ``ts_eval`` at once.
 
     Inserts the extrema of Q into the evaluation grid and reads off exact
     partial sums, so a dense trace does not pay a separate search per
-    output row.  ``qdot_of_t`` is as in :func:`total_variation`.
-    ``q_eval`` is Q at ``ts_eval`` when the caller has it already (a
-    trace's Q column), else it is evaluated here; either way Q is then
-    evaluated at the inserted nodes only.
+    output row.  ``q_eval`` is Q at ``ts_eval``, which the caller has
+    already (a trace's Q column), so Q is evaluated here at the inserted
+    nodes only.  ``qdot_of_t`` is as in :func:`total_variation`.
     """
     ts_eval = np.asarray(ts_eval, dtype=float)
-    if q_eval is None:
-        q_eval = q_of_t(ts_eval)
     nodes = _nodes(q_of_t, qdot_of_t, 0.0, float(ts_eval.max()),
                    breakpoints, 0.0)
     grid, where = np.unique(np.concatenate((ts_eval, nodes)),

@@ -20,6 +20,9 @@ from .errors import QuadratureError
 
 _LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(31)
+_MAX_ROUNDS = 40  # bisection rounds before giving up
+_ENVELOPE_KNEE = 1.0  # breakpoint at the exp(-x) envelope's scale
+_MAX_BREAKPOINTS = 4000
 
 
 def _panel_estimates(f, lo_edges, hi_edges):
@@ -37,7 +40,7 @@ def _panel_estimates(f, lo_edges, hi_edges):
     return est_hi, np.abs(est_hi - est_lo)
 
 
-def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10, max_rounds=40):
+def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10):
     """Integrate a vectorized ``f`` over [a, b] to a relative tolerance.
 
     Parameters
@@ -51,8 +54,6 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10, max_rounds=40):
         half-periods, envelope scales).  Values outside (a, b) are ignored.
     rel_tol : float
         Target: summed panel error below ``rel_tol * |integral|``.
-    max_rounds : int
-        Bisection rounds before giving up.
 
     Returns
     -------
@@ -61,8 +62,8 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10, max_rounds=40):
     Raises
     ------
     QuadratureError
-        If the error budget is not met within ``max_rounds``; the exception
-        carries the best estimate and the achieved error bound.
+        If the error budget is not met within 40 bisection rounds; the
+        exception carries the best estimate and the achieved error bound.
     """
     pts = np.asarray(sorted(p for p in breakpoints if a < p < b), dtype=float)
     edges = np.concatenate(([a], pts, [b]))
@@ -72,7 +73,7 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10, max_rounds=40):
     done_value = 0.0
     done_error = 0.0
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         values, errors = _panel_estimates(f, lo_edges, hi_edges)
         total = done_value + values.sum()
         total_err = done_error + errors.sum()
@@ -96,18 +97,17 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10, max_rounds=40):
     achieved = done_error + errors.sum()
     raise QuadratureError(
         f"quadrature did not converge to rel_tol={rel_tol:g} "
-        f"within {max_rounds} rounds (achieved {achieved:.3e})",
+        f"within {_MAX_ROUNDS} rounds (achieved {achieved:.3e})",
         estimate=estimate,
         achieved_error=achieved,
     )
 
 
-def oscillation_breakpoints(max_frequency, upper, envelope_knee=1.0,
-                            max_points=4000):
-    """Breakpoints at half-periods of the fastest oscillation plus the
-    envelope knee, capped so panel counts stay bounded."""
-    pts = [envelope_knee]
+def oscillation_breakpoints(max_frequency, upper):
+    """Breakpoints at half-periods of the fastest oscillation (at most
+    4000, so panel counts stay bounded) plus the envelope knee."""
+    pts = [_ENVELOPE_KNEE]
     if max_frequency > 0.0:
-        step = max(np.pi / max_frequency, upper / max_points)
+        step = max(np.pi / max_frequency, upper / _MAX_BREAKPOINTS)
         pts.extend(np.arange(step, upper, step))
     return pts

@@ -79,6 +79,20 @@ def time_grid(cfg: ScenarioConfig, instants):
     return np.unique(np.concatenate(pieces))
 
 
+def _q_columns(dephasing, ts):
+    """:meth:`Dephasing.q_columns` at ``ts``, or FloatingPointError where a
+    Q is not finite: its exponent overflows, or meets inf - inf or 0 * inf.
+    Q = 0 from underflow is a value."""
+    cols = dephasing.q_columns(ts)
+    for tag, q in cols.items():
+        bad = ~np.isfinite(q)
+        if bad.any():
+            raise FloatingPointError(
+                f"{tag.value} is not finite at t = {ts[bad][0]:.9g}: the "
+                "decoherence exponent leaves the float range")
+    return cols
+
+
 def _header(kind, cfg: ScenarioConfig, columns):
     # the output path is run-local, not part of the scenario; keep the
     # echoed header byte-stable across destinations
@@ -107,8 +121,8 @@ def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
         return nan, nan, np.zeros(len(ts), dtype=bool), NO_COHERENCE_FOOTNOTE
     q_of_t, _ = dephasing.functions(tag)
     tv = cumulative_total_variation(
-        q_of_t, ts, breakpoints=dephasing.schedule.instants,
-        qdot_of_t=SignRate(dephasing, tag), q_eval=q)
+        q_of_t, ts, q, breakpoints=dephasing.schedule.instants,
+        qdot_of_t=SignRate(dephasing, tag))
     with np.errstate(divide="ignore", invalid="ignore"):
         if fixed:
             tv = np.full_like(tv, tv[-1])
@@ -123,9 +137,9 @@ def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
 def run_trace(cfg: ScenarioConfig):
     """Trajectory dataset: one row per grid point over [0, tau_d].
 
-    Returns (header_lines, rows); rows hold formatted strings, empty cells
-    where a value is undefined (QD for non-singlet states, QSLT at t = 0
-    or where Q stays 1 to within 1e-14 on the window).
+    Returns (header_lines, rows); rows are tuples of formatted strings,
+    empty cells where a value is undefined (QD for non-singlet states,
+    QSLT at t = 0 or where Q stays 1 to within 1e-14 on the window).
     """
     params = SpectralParams(cfg.s, cfg.eta, cfg.omega_c)
     schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
@@ -134,7 +148,7 @@ def run_trace(cfg: ScenarioConfig):
     ts = time_grid(cfg, schedule.instants)
 
     dephasing = Dephasing(params, schedule)
-    cols = dephasing.q_columns(ts)
+    cols = _q_columns(dephasing, ts)
     q = cols[tag]
     x_t = XStateSummary.from_state(rho0, q)
     qd_t = (_cells(discord_singlet(q)) if cfg.initial_state == "singlet"
@@ -145,9 +159,9 @@ def run_trace(cfg: ScenarioConfig):
     columns = [*map(_cells, (ts, *(cols[tag] for tag in _CSV_TAGS),
                              concurrence_x(x_t), consonance(x_t))),
                qd_t, _cells(ratio, live), _cells(upper, live)]
-    rows = [list(row) for row in zip(*columns)]
+    rows = list(zip(*columns))
     if footnote:
-        rows.append([footnote])
+        rows.append((footnote,))
     return _header("trace", cfg, TRACE_COLUMNS), rows
 
 
@@ -169,7 +183,7 @@ def run_sweep_n(cfg: ScenarioConfig, n_values):
     blocks, footnotes = [], set()
     for n in n_values:
         dephasing = Dephasing(params, pdd_schedule(int(n), cfg.tau_f))
-        cols = dephasing.q_columns(t_evals)
+        cols = _q_columns(dephasing, t_evals)
         q = cols[tag]
         *qslt, footnote = _qslt_values(rho0, dephasing, tag, t_evals, q,
                                        fixed=False)
@@ -180,10 +194,10 @@ def run_sweep_n(cfg: ScenarioConfig, n_values):
     columns = ([str(int(n)) for n in n_values for _ in regimes],
                [*regimes] * len(n_values),
                *map(_cells, values), _cells(ratio, live), _cells(upper, live))
-    rows = [list(row) for row in zip(*columns)]
+    rows = list(zip(*columns))
     # a footnote stands only when it explains every row
     if len(footnotes) == 1 and None not in footnotes:
-        rows.append([footnotes.pop()])
+        rows.append((footnotes.pop(),))
     return _header("sweep-n", cfg, SWEEP_COLUMNS), rows
 
 

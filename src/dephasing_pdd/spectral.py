@@ -29,6 +29,8 @@ OHMIC_THRESHOLD = 1e-9
 # Exponential envelope exp(-w/w_c) is below 1e-26 beyond this many cutoffs.
 _TAIL_CUTOFFS = 60.0
 
+_FD_STEP = 1e-6  # relative step of gamma0_derivative(method="fd")
+
 
 @dataclass(frozen=True)
 class SpectralParams:
@@ -110,7 +112,7 @@ def gamma0_analytic(p: SpectralParams, t):
     return _maybe_scalar(out, t)
 
 
-def gamma0_derivative(p: SpectralParams, t, method="analytic", fd_step=1e-6):
+def gamma0_derivative(p: SpectralParams, t, method="analytic"):
     """Rate dGamma0/dt.
 
     The analytic route uses
@@ -121,11 +123,11 @@ def gamma0_derivative(p: SpectralParams, t, method="analytic", fd_step=1e-6):
     which is pole-free for every s > 0 (it reduces to
     eta w_c^2 t / (1 + w_c^2 t^2) at s = 1).  ``method="fd"`` instead takes
     a central difference of :func:`gamma0_analytic` with step
-    ``fd_step * max(1, t)``.
+    ``1e-6 * max(1, t)``.
     """
     tt = _as_nonnegative_array(t, "t")
     if method == "fd":
-        h = fd_step * np.maximum(1.0, tt)
+        h = _FD_STEP * np.maximum(1.0, tt)
         lo = np.maximum(tt - h, 0.0)
         out = (gamma0_analytic(p, tt + h) - gamma0_analytic(p, lo)) / (tt + h - lo)
         return _maybe_scalar(out, t)

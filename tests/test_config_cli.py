@@ -1,5 +1,7 @@
 """Config parsing round-trips and the command-line front end."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,10 @@ from dephasing_pdd import cli
 from dephasing_pdd.config import ScenarioConfig, load_config
 from dephasing_pdd.errors import ConfigError, QuadratureError
 from dephasing_pdd.verify import CheckResult
+
+# every numeric ScenarioConfig field that `trace` takes as a flag
+NUMERIC_FIELDS = [f.name for f in fields(ScenarioConfig)
+                  if f.type in ("float", "int", "float | None")]
 
 
 class TestScenarioConfig:
@@ -114,15 +120,19 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["--tau-d", "inf"],
-        ["--eta", "nan"],
-        ["--s", "nan"],
-        ["--initial-state", "custom", "--im-rho14", "nan"],
-        ["--initial-state", "custom", "--rho11", ".1", "--rho22", ".4",
-         "--rho33", ".4", "--rho44", ".1", "--re-rho14", ".3",
-         "--re-rho23", "0"],
-    ], ids=["tau_d_inf", "eta_nan", "s_nan", "im_rho14_nan",
-            "rho14_exceeds_block"])
+        pytest.param(["--tau-d", "inf"], id="tau_d_inf"),
+        pytest.param(["--eta", "nan"], id="eta_nan"),
+        pytest.param(["--s", "nan"], id="s_nan"),
+        pytest.param(["--initial-state", "custom", "--im-rho14", "nan"],
+                     id="im_rho14_nan"),
+        pytest.param(["--initial-state", "custom", "--rho11", ".1",
+                      "--rho22", ".4", "--rho33", ".4", "--rho44", ".1",
+                      "--re-rho14", ".3", "--re-rho23", "0"],
+                     id="rho14_exceeds_block"),
+        # flags parse like config-file values: a return code, no SystemExit
+        *(pytest.param(["--" + name.replace("_", "-"), "abc"],
+                       id=f"{name}_abc") for name in NUMERIC_FIELDS),
+    ])
     def test_bad_input_is_config_error(self, argv, capsys):
         assert cli.main(["trace", *argv]) == 2
         assert "config error" in capsys.readouterr().err
@@ -155,6 +165,19 @@ class TestCli:
         assert cli.main(["trace", "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    def test_pulse_spacing_none_flag(self, capsys):
+        assert cli.main(["trace", "--pulse-spacing", "none", "--tau-d", "12",
+                         "--min-points", "20"]) == 0
+        assert "qslt_ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,omit", [("trace", {"n_values"}),
+                                              ("sweep-n", set())],
+                             ids=["trace", "sweep-n"])
+    def test_one_flag_per_config_field(self, command, omit):
+        args = vars(cli.build_parser().parse_args([command]))
+        assert set(args) == {"command", "config"} | {
+            f.name for f in fields(ScenarioConfig) if f.name not in omit}
+
     def test_bad_n_values_is_config_error(self, capsys):
         assert cli.main(["sweep-n", "--n-values", "5,abc"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -166,6 +189,27 @@ class TestCli:
         monkeypatch.setattr(cli, "run_trace", boom)
         assert cli.main(["trace"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--omega-c", "1e300", "--tau-d", "12", "--min-points", "20",
+         "--n-pulses", "2"],
+        ["sweep-n", "--n-values", "0,1,5", "--omega-c", "1e300"],
+        ["trace", "--s", "173", "--n-pulses", "0", "--tau-d", "12",
+         "--min-points", "20"],
+    ], ids=["gamma0_overflows", "sweep_gamma0_overflows",
+            "euler_gamma_overflows"])
+    def test_non_finite_q_is_numerical_failure(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with np.errstate(all="ignore"):
+            assert cli.main([*argv, "--out", str(out)]) == 3
+        assert "numerical failure: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_underflowing_q_is_a_value(self, capsys):
+        # Q = exp(-Gamma) rounds to 0 at a huge coupling: a finite value
+        assert cli.main(["trace", "--eta", "1e300", "--tau-d", "12",
+                         "--min-points", "20", "--n-pulses", "2"]) == 0
+        assert "nan" not in capsys.readouterr().out
 
     def test_underflowing_pulse_spacing_is_numerical_failure(self, capsys):
         # at tau_f = 5e-324 the pulse instants underflow to equal values
@@ -184,22 +228,14 @@ class TestCli:
         assert seen[1].eta == ScenarioConfig().eta
 
     def test_verify_exit_codes(self, monkeypatch, capsys):
-        calls = {}
-
-        def fake_run_checks(inject_failure=False):
-            calls["inject"] = inject_failure
-            results = [CheckResult("ok", 0.0, 1.0)]
-            if inject_failure:
-                results.append(CheckResult("bad", 1.0, 0.0))
-            return results
-
-        monkeypatch.setattr(cli.verify_mod, "run_checks", fake_run_checks)
+        results = [CheckResult("ok", 0.0, 1.0)]
+        monkeypatch.setattr(cli.verify_mod, "run_checks", lambda: results)
         assert cli.main(["verify"]) == 0
-        assert cli.main(["verify", "--inject-failure"]) == 1
+        results.append(CheckResult("bad", 1.0, 0.0))
+        assert cli.main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "ok: PASS" in out
         assert "bad: FAIL" in out
-        assert calls["inject"] is True
 
 
 class TestCheckResult:

@@ -215,10 +215,10 @@ class TestSignRate:
             q_of_t, qdot_of_t = dephasing.functions(ProtocolTag.Q11)
             ts = np.linspace(0.0, 15.0, 31)
             signs = cumulative_total_variation(
-                q_of_t, ts, sched.instants,
+                q_of_t, ts, q_of_t(ts), sched.instants,
                 SignRate(dephasing, ProtocolTag.Q11))
-            exact = cumulative_total_variation(q_of_t, ts, sched.instants,
-                                               qdot_of_t)
+            exact = cumulative_total_variation(q_of_t, ts, q_of_t(ts),
+                                               sched.instants, qdot_of_t)
             assert signs == pytest.approx(exact, rel=1e-12, abs=0.0)
         # the uneven train asks for the table and gets no rows
         assert {s is uneven for s, _ in calls} == {True, False}

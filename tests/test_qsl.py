@@ -165,21 +165,16 @@ class TestTotalVariation:
         assert np.max(np.abs(signs - exact)) <= 1e-12
         ts = np.linspace(0.0, 30.0, 61)
         assert cumulative_total_variation(
-            q, ts, sched.instants, qdot_of_t=rate) == pytest.approx(
-            cumulative_total_variation(q, ts, sched.instants, qdot_of_t=qd),
+            q, ts, q(ts), sched.instants, qdot_of_t=rate) == pytest.approx(
+            cumulative_total_variation(q, ts, q(ts), sched.instants,
+                                       qdot_of_t=qd),
             rel=1e-12, abs=0.0)
-
-    def test_known_q_values_give_the_same_variation(self):
-        q, qd = protocol_functions("Q11", SpectralParams(3.0, 0.5))
-        ts = np.linspace(0.0, 16.0, 97)
-        cum = cumulative_total_variation(q, ts, SCHED.instants, qd)
-        assert np.array_equal(cumulative_total_variation(
-            q, ts, SCHED.instants, qd, q_eval=q(ts)), cum)
 
     def test_cumulative_matches_pointwise(self):
         q, qd = protocol_functions("Q11", SpectralParams(3.0, 0.5))
         ts = np.array([1.0, 5.0, 10.0, 16.0])
-        cum = cumulative_total_variation(q, ts, breakpoints=SCHED.instants,
+        cum = cumulative_total_variation(q, ts, q(ts),
+                                         breakpoints=SCHED.instants,
                                          qdot_of_t=qd)
         for t, c in zip(ts, cum):
             ref = total_variation(q, float(t), breakpoints=SCHED.instants,

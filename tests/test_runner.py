@@ -1,18 +1,24 @@
 """Dataset assembly: grids, trace and sweep rows, CSV rendering."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dephasing_pdd.config import ScenarioConfig
+from dephasing_pdd.config import ScenarioConfig, load_config
 from dephasing_pdd.correlations import concurrence_wootters
-from dephasing_pdd.dynamics import Attenuation, two_qubit_evolve
+from dephasing_pdd.dynamics import (Attenuation, Dephasing, ProtocolTag,
+                                    SignRate, two_qubit_evolve)
 from dephasing_pdd.pulses import ControlledDecoherence, pdd_schedule
+from dephasing_pdd.qsl import QslInputs, phi0, qslt_ratio, qslt_upper_bound
 from dephasing_pdd.runner import (FROZEN_FOOTNOTE, NO_COHERENCE_FOOTNOTE,
                                   SWEEP_COLUMNS, TRACE_COLUMNS, _cells,
                                   initial_state, render_csv, run_sweep_n,
                                   run_trace, time_grid)
+from dephasing_pdd.spectral import SpectralParams
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_cfg(**kwargs):
@@ -69,7 +75,7 @@ class TestRunTrace:
         _, rows = run_trace(small_cfg())
         first = data_rows(rows)[0]
         assert first[0] == "0"
-        assert first[-2:] == ["", ""]
+        assert first[-2:] == ("", "")
         later = data_rows(rows)[5]
         assert later[-2] != ""
 
@@ -82,15 +88,15 @@ class TestRunTrace:
         # at eta = 1e-20 Q rounds to 1 everywhere: the ratio would be 0/0
         for eta in (0.0, 1e-20):
             _, rows = run_trace(small_cfg(eta=eta))
-            assert rows[-1] == [FROZEN_FOOTNOTE]
-            assert all(r[-2:] == ["", ""] for r in data_rows(rows))
+            assert rows[-1] == (FROZEN_FOOTNOTE,)
+            assert all(r[-2:] == ("", "") for r in data_rows(rows))
 
     def test_no_coherence_footnote(self):
         cfg = small_cfg(initial_state="custom", rho11=0.4, rho22=0.3,
                         rho33=0.2, rho44=0.1, re_rho14=0.0, im_rho14=0.0,
                         re_rho23=0.0, im_rho23=0.0)
         _, rows = run_trace(cfg)
-        assert rows[-1] == [NO_COHERENCE_FOOTNOTE]
+        assert rows[-1] == (NO_COHERENCE_FOOTNOTE,)
 
     def test_concurrence_column_matches_wootters(self):
         cfg = small_cfg(initial_state="custom", rho11=0.3, rho22=0.25,
@@ -120,8 +126,8 @@ class TestRunSweepN:
         header, rows = run_sweep_n(cfg, (0, 2))
         assert header[-1] == ",".join(SWEEP_COLUMNS)
         body = data_rows(rows)
-        assert [r[:2] for r in body] == [["0", "short"], ["0", "long"],
-                                         ["2", "short"], ["2", "long"]]
+        assert [r[:2] for r in body] == [("0", "short"), ("0", "long"),
+                                         ("2", "short"), ("2", "long")]
         te_col = SWEEP_COLUMNS.index("t_eval")
         assert float(body[0][te_col]) == cfg.tau_f
         assert float(body[1][te_col]) == cfg.tau_d
@@ -141,8 +147,8 @@ class TestRunSweepN:
     def test_frozen_footnote(self):
         for eta in (0.0, 1e-20):
             _, rows = run_sweep_n(small_cfg(eta=eta), (0, 1))
-            assert rows[-1] == [FROZEN_FOOTNOTE]
-            assert all(r[-2:] == ["", ""] for r in data_rows(rows))
+            assert rows[-1] == (FROZEN_FOOTNOTE,)
+            assert all(r[-2:] == ("", "") for r in data_rows(rows))
 
     @pytest.mark.parametrize("cfg", [
         small_cfg(protocol="Q11"),
@@ -208,5 +214,53 @@ class TestRenderCsv:
         assert text1 == text2
 
     def test_footnote_rendered_verbatim(self):
-        text = render_csv(["# h", "a,b"], [["1", "2"], ["# note: x"]])
+        text = render_csv(["# h", "a,b"], [("1", "2"), ("# note: x",)])
         assert text.splitlines()[-1] == "# note: x"
+
+
+class TestQsltCellsMatchScalarApi:
+    """The vectorized QSLT cells (one cumulative total variation per run,
+    with its own ratio and bound formulas) agree with the scalar
+    ``qslt_ratio`` and ``qslt_upper_bound`` at the exact grid times; a
+    cell carries 9 significant digits.  Both locate extrema on the same
+    sign rate, which ``test_qsl`` checks against dQ/dt."""
+
+    @staticmethod
+    def scalar_api(cfg):
+        schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
+        dephasing = Dephasing(SpectralParams(cfg.s, cfg.eta, cfg.omega_c),
+                              schedule)
+        tag = ProtocolTag(cfg.protocol)
+        q_of_t, _ = dephasing.functions(tag)
+        inputs = QslInputs(phi0(initial_state(cfg)), q_of_t, cfg.tau_d,
+                           schedule.instants, SignRate(dephasing, tag))
+        return (lambda t: qslt_ratio(inputs, t),
+                lambda t: qslt_upper_bound(inputs, t))
+
+    @staticmethod
+    def assert_close(cells, ts, ratio, upper):
+        for (r_cell, u_cell), t in zip(cells, ts):
+            assert float(r_cell) == pytest.approx(ratio(t), rel=1e-8, abs=0)
+            assert float(u_cell) == pytest.approx(upper(t), rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("protocol", ["Q00", "Q10", "Q11"])
+    @pytest.mark.parametrize("name", ["fig5_trace_markovian",
+                                      "fig5_trace_nonmarkovian",
+                                      "fig3_trace_markovian_n100"])
+    def test_trace_rows(self, name, protocol):
+        cfg = replace(load_config(CONFIGS / f"{name}.cfg"), protocol=protocol)
+        _, rows = run_trace(cfg)
+        ts = time_grid(cfg, pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
+        pick = slice(97, None, 97)
+        self.assert_close([r[-2:] for r in data_rows(rows)[pick]], ts[pick],
+                          *self.scalar_api(cfg))
+
+    @pytest.mark.parametrize("name", ["fig1_sweep_markovian",
+                                      "fig2_sweep_nonmarkovian"])
+    def test_sweep_rows(self, name):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        _, rows = run_sweep_n(cfg, cfg.n_values)
+        for n in cfg.n_values:
+            body = [r for r in data_rows(rows) if r[0] == str(n)]
+            self.assert_close([r[-2:] for r in body], (cfg.tau_f, cfg.tau_d),
+                              *self.scalar_api(replace(cfg, n_pulses=n)))
