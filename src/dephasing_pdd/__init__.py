@@ -15,8 +15,8 @@ from .errors import (ConfigError, FrozenDynamicsError, NoCoherenceError,
 from .pulses import (ControlledDecoherence, PulseSchedule,
                      controlled_gamma_quadrature, free_decoherence,
                      pdd_schedule)
-from .qsl import (QslInputs, cumulative_total_variation, phi0, qslt_general,
-                  qslt_ratio, qslt_upper_bound, total_variation)
+from .qsl import (QslInputs, cumulative_total_variation, phi0, qslt_cells,
+                  qslt_general, qslt_ratio, qslt_upper_bound, total_variation)
 from .spectral import (SpectralParams, gamma0_analytic, gamma0_derivative,
                        gamma0_quadrature, spectral_density)
 

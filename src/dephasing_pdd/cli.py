@@ -114,10 +114,7 @@ def main(argv=None):
         if args.command == "trace":
             header, rows = run_trace(cfg)
         else:
-            if not cfg.n_values:
-                raise ConfigError("sweep-n requires --n-values or an "
-                                  "n_values config entry")
-            header, rows = run_sweep_n(cfg, cfg.n_values)
+            header, rows = run_sweep_n(cfg)
         _emit(cfg, render_csv(header, rows))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,6 +16,8 @@ _PROTOCOLS = ("Q00", "Q10", "Q01", "Q11")
 _STATES = ("singlet", "bell_phi_plus", "custom")
 _WINDOWS = ("running", "fixed")
 _BLOCK_TOL = 1e-12
+# 100x the largest sweep timed so far (N = 10,000); bounds the train size
+_MAX_PULSES = 10 ** 6
 
 
 @dataclass
@@ -67,9 +69,16 @@ class ScenarioConfig:
             if self.pulse_spacing <= 0:
                 raise ConfigError("pulse_spacing must be positive",
                                   field="pulse_spacing")
-            self.n_pulses = max(0, round(self.tau_f / self.pulse_spacing) - 1)
-        if self.n_pulses < 0:
-            raise ConfigError("n_pulses must be nonnegative", field="n_pulses")
+            # bounded before round(), which overflows at a tiny spacing
+            intervals = self.tau_f / self.pulse_spacing
+            if intervals > _MAX_PULSES + 1:
+                raise ConfigError(f"pulse_spacing must leave at most "
+                                  f"{_MAX_PULSES} pulses",
+                                  field="pulse_spacing")
+            self.n_pulses = max(0, round(intervals) - 1)
+        if not 0 <= self.n_pulses <= _MAX_PULSES:
+            raise ConfigError(f"n_pulses must lie in [0, {_MAX_PULSES}]",
+                              field="n_pulses")
         if self.protocol not in _PROTOCOLS:
             raise ConfigError(f"protocol must be one of {_PROTOCOLS}",
                               field="protocol")
@@ -85,8 +94,9 @@ class ScenarioConfig:
         if self.qsl_window not in _WINDOWS:
             raise ConfigError(f"qsl_window must be one of {_WINDOWS}",
                               field="qsl_window")
-        if any(n < 0 for n in self.n_values):
-            raise ConfigError("n_values must be nonnegative", field="n_values")
+        if any(not 0 <= n <= _MAX_PULSES for n in self.n_values):
+            raise ConfigError(f"n_values must lie in [0, {_MAX_PULSES}]",
+                              field="n_values")
         if self.initial_state == "custom":
             diag = (self.rho11, self.rho22, self.rho33, self.rho44)
             if any(d < 0 for d in diag) or abs(sum(diag) - 1.0) > 1e-9:

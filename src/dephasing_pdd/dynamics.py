@@ -114,7 +114,8 @@ class Dephasing:
     The controlled Gamma's schedule sums are set up at most once per
     instance (on first use), so a trace or a sweep point builds one and
     shares it between its Q columns, its trajectory and its extrema
-    search.  The protocol rule lives here and nowhere else.
+    search.  The protocol rule lives in :meth:`exponent_sum` and nowhere
+    else.
     """
 
     def __init__(self, p: SpectralParams, schedule: PulseSchedule | None):
@@ -132,38 +133,48 @@ class Dephasing:
             return None
         return ControlledDecoherence(self.free, self.schedule, self.free_dot)
 
-    def exponents(self, tag: ProtocolTag):
-        """Each qubit's (Gamma, dGamma/dt) callables: the controlled
-        exponent when the qubit is pulsed by a nonempty schedule, the free
-        Gamma0 otherwise."""
-        pair = dict.fromkeys((False, True), (self.free, self.free_dot))
-        if any(tag.pulsed) and self.controlled is not None:
-            pair[True] = (self.controlled, self.controlled.derivative)
-        return [pair[pulsed] for pulsed in tag.pulsed]
+    def exponent_sum(self, tag: ProtocolTag, free, controlled):
+        """Gamma_1 + Gamma_2 of ``tag`` as a callable of t, from callables
+        of the free and the controlled exponent (or of their rates).  A
+        pulsed qubit takes ``controlled`` unless the schedule is empty, so
+        ``controlled`` is called only then; an exponent both qubits share
+        is evaluated once and doubled, bit-identical to adding it to
+        itself."""
+        g1, g2 = (controlled if pulsed and self.controlled is not None
+                  else free for pulsed in tag.pulsed)
+        if g1 is g2:
+            return lambda t: 2.0 * g1(t)
+        return lambda t: g1(t) + g2(t)
 
     def q_columns(self, t):
         """Q(t) for all four protocol tags, keyed by :class:`ProtocolTag`,
-        from one evaluation of Gamma0 and one of the controlled Gamma.
-        Each column is exp(-(Gamma_1 + Gamma_2)), bit-identical to the
-        ``q_of_t`` of :meth:`functions` for the same tag."""
-        free = self.free(t)
-        gamma = {True: free if self.controlled is None else self.controlled(t),
-                 False: free}
-        return {tag: np.exp(-(gamma[tag.pulsed[0]] + gamma[tag.pulsed[1]]))
-                for tag in ProtocolTag}
+        from one evaluation of Gamma0 and one of the controlled Gamma,
+        each column bit-identical to the ``q_of_t`` of :meth:`functions`.
+
+        Raises FloatingPointError where an exponent is not finite: it
+        overflows, or meets inf - inf or 0 * inf.  Q = 0 from underflow
+        is a value."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            free = self.free(t)
+            controlled = (None if self.controlled is None
+                          else self.controlled(t))
+            gammas = {tag: self.exponent_sum(tag, lambda _: free,
+                                             lambda _: controlled)(t)
+                      for tag in ProtocolTag}
+        for tag, gamma in gammas.items():
+            bad = ~np.isfinite(gamma)
+            if bad.any():
+                raise FloatingPointError(
+                    f"the decoherence exponent of {tag.value} is not finite "
+                    f"at t = {np.asarray(t)[bad][0]:.9g}")
+        return {tag: np.exp(-gamma) for tag, gamma in gammas.items()}
 
     def functions(self, tag: ProtocolTag):
-        """(Q(t), dQ/dt) as a pair of vectorized callables.  When both
-        qubits share an exponent (Q00, Q11) it is evaluated once per call
-        and doubled, which is bit-identical to adding it to itself."""
-        (g1, d1), (g2, d2) = self.exponents(tag)
-        shared = g1 is g2
-
-        def gamma(t):
-            return 2.0 * g1(t) if shared else g1(t) + g2(t)
-
-        def gamma_dot(t):
-            return 2.0 * d1(t) if shared else d1(t) + d2(t)
+        """(Q(t), dQ/dt) as a pair of vectorized callables."""
+        gamma = self.exponent_sum(tag, self.free,
+                                  lambda t: self.controlled(t))
+        gamma_dot = self.exponent_sum(tag, self.free_dot,
+                                      lambda t: self.controlled.derivative(t))
 
         def q_of_t(t):
             return np.exp(-gamma(t))
@@ -179,20 +190,20 @@ class SignRate:
     dQ/dt with its zeros, all the extrema finder needs, at no Gamma and no
     exp per probe.  A call takes the exact derivative route; ``scan``
     reads whole segments of an equidistant train off the table of
-    :meth:`ControlledDecoherence.train_derivative` (p dGamma/dt +
-    (2 - p) dGamma0/dt for p pulsed qubits) and every other segment off
-    the exact route.
+    :meth:`ControlledDecoherence.train_derivative` and every other segment
+    off the exact route.  Both combine the qubits' rates by
+    :meth:`Dephasing.exponent_sum`.
     """
 
     def __init__(self, dephasing: Dephasing, tag: ProtocolTag):
-        (_, self._d1), (_, self._d2) = dephasing.exponents(tag)
-        self._pulsed = sum(tag.pulsed)
-        self._controlled = dephasing.controlled if self._pulsed else None
+        self._sum = functools.partial(dephasing.exponent_sum, tag)
+        self._rate = self._sum(dephasing.free_dot,
+                               lambda t: dephasing.controlled.derivative(t))
+        # Q00 takes no controlled rate, so it reads no table
+        self._table = dephasing.controlled if any(tag.pulsed) else None
 
     def __call__(self, t):
-        if self._d1 is self._d2:
-            return -2.0 * self._d1(t)
-        return -(self._d1(t) + self._d2(t))
+        return -self._rate(t)
 
     def scan(self, ts, x, a, b):
         """Rates at ``ts``, whose row k samples segment (a[k], b[k]) at
@@ -200,9 +211,10 @@ class SignRate:
         inward)."""
         out = np.empty(ts.shape)
         exact = np.ones(len(ts), dtype=bool)
-        if self._controlled is not None:
-            rows, dgamma, dgamma0 = self._controlled.train_derivative(x, a, b)
-            out[rows] = -(self._pulsed * dgamma + (2 - self._pulsed) * dgamma0)
+        if self._table is not None:
+            rows, dgamma, dgamma0 = self._table.train_derivative(x, a, b)
+            # the table's rates, as callables of the fractions x
+            out[rows] = -self._sum(lambda _: dgamma0, lambda _: dgamma)(x)
             exact[rows] = False
         if exact.any():
             out[exact] = self(ts[exact])

@@ -2,16 +2,7 @@
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive integration failed to reach the requested tolerance.
-
-    Carries the best estimate reached and the achieved error bound so a
-    caller can decide whether the partial result is still usable.
-    """
-
-    def __init__(self, message, estimate=None, achieved_error=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.achieved_error = achieved_error
+    """A numerical search or integration did not converge."""
 
 
 class NoCoherenceError(ValueError):

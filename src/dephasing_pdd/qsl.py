@@ -233,9 +233,33 @@ def cumulative_total_variation(q_of_t, ts_eval, q_eval, breakpoints=(),
     return cum[at_eval]
 
 
-def _check_t_eval(inputs: QslInputs, t_eval):
+def qslt_cells(phi0, q, tv, fixed=False):
+    """(ratio, bound, defined) of the X-state QSLT at times t, from Q(t) and
+    the total variation of Q on [0, t]; with ``fixed`` every t takes the
+    last time's window.  ratio = Phi0 |1 - Q| / TV, defined where
+    TV > 1e-14 (else Q stays 1 on the window: 0/0).  The running bound is
+    Phi0, or 0 at a revival, |1 - Q| <= 1e-14; the fixed bound is
+    Phi0 (1 - Q) / (1 - Q(t_last))."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if fixed:
+            tv = np.full_like(tv, tv[-1])
+            bound = phi0 * (1.0 - q) / (1.0 - q[-1])
+        else:
+            bound = np.where(np.abs(1.0 - q) <= _FROZEN_TOL, 0.0, phi0)
+        ratio = phi0 * np.abs(1.0 - q) / tv
+    return ratio, bound, tv > _FROZEN_TOL
+
+
+def _cell(inputs: QslInputs, t_eval, variation):
+    """(ratio, bound) of :func:`qslt_cells` at ``t_eval`` on the window
+    [0, t_eval], given ``variation()``, the total variation of Q there."""
     if not 0.0 < t_eval <= inputs.tau_d * (1 + 1e-12):
         raise ValueError(f"t_eval must lie in (0, tau_d], got {t_eval}")
+    q = float(np.asarray(inputs.q_of_t(t_eval)).item())
+    ratio, bound, defined = qslt_cells(inputs.phi0, q, variation())
+    if not defined:
+        raise FrozenDynamicsError("Q(t) = 1 on the whole window")
+    return float(ratio), float(bound)
 
 
 def qslt_ratio(inputs: QslInputs, t_eval, rel_tol=1e-9):
@@ -245,35 +269,20 @@ def qslt_ratio(inputs: QslInputs, t_eval, rel_tol=1e-9):
     Raises :class:`FrozenDynamicsError` when Q never leaves 1 on the
     window (zero total variation).
     """
-    _check_t_eval(inputs, t_eval)
-    tv = total_variation(inputs.q_of_t, t_eval,
-                         breakpoints=inputs.breakpoints, rel_tol=rel_tol,
-                         qdot_of_t=inputs.qdot_of_t)
-    num = inputs.phi0 * abs(1.0 - float(np.asarray(inputs.q_of_t(t_eval)).item()))
-    if tv <= _FROZEN_TOL:
-        raise FrozenDynamicsError("Q(t) = 1 on the whole window")
-    return num / tv
+    return _cell(inputs, t_eval, lambda: total_variation(
+        inputs.q_of_t, t_eval, breakpoints=inputs.breakpoints,
+        rel_tol=rel_tol, qdot_of_t=inputs.qdot_of_t))[0]
 
 
 def qslt_upper_bound(inputs: QslInputs, t_eval):
-    """Analytic bound Phi0 (1 - Q(t_eval)) / (1 - Q(tau_d)), tau_d = t_eval.
-
-    Equals :func:`qslt_ratio` whenever Q is monotone on the window; with
-    the window bound to t_eval it is Phi0 away from exact revivals and 0
-    at them.
+    """Analytic bound Phi0 (1 - Q(t_eval)) / (1 - Q(tau_d)), tau_d = t_eval:
+    Phi0 away from revivals and 0 at them.  Equals :func:`qslt_ratio`
+    whenever Q is monotone on the window.  The variation of Q over 65
+    equidistant probes stands in for its total variation, which decides
+    only whether Q is frozen.
     """
-    _check_t_eval(inputs, t_eval)
-    q_eval = float(np.asarray(inputs.q_of_t(t_eval)).item())
-    num = inputs.phi0 * (1.0 - q_eval)
-    if abs(num) <= _FROZEN_TOL:
-        probe = np.asarray(inputs.q_of_t(np.linspace(0.0, t_eval, 65)))
-        if np.max(np.abs(1.0 - probe)) <= _FROZEN_TOL:
-            raise FrozenDynamicsError("Q(t) = 1 on the whole window")
-        return 0.0
-    den = 1.0 - q_eval
-    if abs(den) <= _FROZEN_TOL:
-        raise FrozenDynamicsError("Q(tau_d) = 1, bound denominator vanishes")
-    return num / den
+    return _cell(inputs, t_eval, lambda: np.abs(np.diff(np.asarray(
+        inputs.q_of_t(np.linspace(0.0, t_eval, 65)), dtype=float))).sum())[1]
 
 
 def qslt_general(rho0: TwoQubitState, q_of_t, qdot_of_t, tau_d,

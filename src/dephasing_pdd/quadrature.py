@@ -63,7 +63,7 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10):
     ------
     QuadratureError
         If the error budget is not met within 40 bisection rounds; the
-        exception carries the best estimate and the achieved error bound.
+        message gives the last round's error bound.
     """
     pts = np.asarray(sorted(p for p in breakpoints if a < p < b), dtype=float)
     edges = np.concatenate(([a], pts, [b]))
@@ -92,15 +92,9 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10):
         lo_edges = np.concatenate((lo_edges[keep], mid))
         hi_edges = np.concatenate((mid, hi_edges[keep]))
 
-    values, errors = _panel_estimates(f, lo_edges, hi_edges)
-    estimate = done_value + values.sum()
-    achieved = done_error + errors.sum()
     raise QuadratureError(
         f"quadrature did not converge to rel_tol={rel_tol:g} "
-        f"within {_MAX_ROUNDS} rounds (achieved {achieved:.3e})",
-        estimate=estimate,
-        achieved_error=achieved,
-    )
+        f"within {_MAX_ROUNDS} rounds (achieved {total_err:.3e})")
 
 
 def oscillation_breakpoints(max_frequency, upper):

@@ -23,9 +23,9 @@ from .correlations import (XStateSummary, concurrence_x, consonance,
                            discord_singlet)
 from .dynamics import (Dephasing, ProtocolTag, SignRate, TwoQubitState,
                        bell_phi_plus, singlet)
-from .errors import NoCoherenceError
+from .errors import ConfigError, NoCoherenceError
 from .pulses import pdd_schedule
-from .qsl import _FROZEN_TOL, cumulative_total_variation, phi0
+from .qsl import cumulative_total_variation, phi0, qslt_cells
 from .spectral import SpectralParams
 
 FROZEN_FOOTNOTE = ("# note: frozen dynamics (Q(t)=1 for all t); "
@@ -79,20 +79,6 @@ def time_grid(cfg: ScenarioConfig, instants):
     return np.unique(np.concatenate(pieces))
 
 
-def _q_columns(dephasing, ts):
-    """:meth:`Dephasing.q_columns` at ``ts``, or FloatingPointError where a
-    Q is not finite: its exponent overflows, or meets inf - inf or 0 * inf.
-    Q = 0 from underflow is a value."""
-    cols = dephasing.q_columns(ts)
-    for tag, q in cols.items():
-        bad = ~np.isfinite(q)
-        if bad.any():
-            raise FloatingPointError(
-                f"{tag.value} is not finite at t = {ts[bad][0]:.9g}: the "
-                "decoherence exponent leaves the float range")
-    return cols
-
-
 def _header(kind, cfg: ScenarioConfig, columns):
     # the output path is run-local, not part of the scenario; keep the
     # echoed header byte-stable across destinations
@@ -113,7 +99,8 @@ def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
     -(Gamma_1' + Gamma_2') (:class:`~dephasing_pdd.dynamics.SignRate`),
     read off one table on the equidistant train and off the exact
     derivative elsewhere and at every refinement probe; only the node
-    values evaluate Q itself."""
+    values evaluate Q itself; :func:`~dephasing_pdd.qsl.qslt_cells` gives
+    the cells."""
     try:
         pref = phi0(rho0)
     except NoCoherenceError:
@@ -123,14 +110,8 @@ def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
     tv = cumulative_total_variation(
         q_of_t, ts, q, breakpoints=dephasing.schedule.instants,
         qdot_of_t=SignRate(dephasing, tag))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if fixed:
-            tv = np.full_like(tv, tv[-1])
-            upper = pref * (1.0 - q) / (1.0 - q[-1])
-        else:
-            upper = np.where(np.abs(1.0 - q) <= _FROZEN_TOL, 0.0, pref)
-        ratio = pref * np.abs(1.0 - q) / tv
-    live = (ts > 0.0) & (tv > _FROZEN_TOL)
+    ratio, upper, defined = qslt_cells(pref, q, tv, fixed)
+    live = (ts > 0.0) & defined
     return ratio, upper, live, None if live.any() else FROZEN_FOOTNOTE
 
 
@@ -148,7 +129,7 @@ def run_trace(cfg: ScenarioConfig):
     ts = time_grid(cfg, schedule.instants)
 
     dephasing = Dephasing(params, schedule)
-    cols = _q_columns(dephasing, ts)
+    cols = dephasing.q_columns(ts)
     q = cols[tag]
     x_t = XStateSummary.from_state(rho0, q)
     qd_t = (_cells(discord_singlet(q)) if cfg.initial_state == "singlet"
@@ -165,7 +146,7 @@ def run_trace(cfg: ScenarioConfig):
     return _header("trace", cfg, TRACE_COLUMNS), rows
 
 
-def run_sweep_n(cfg: ScenarioConfig, n_values):
+def run_sweep_n(cfg: ScenarioConfig):
     """Pulse-number sweep: one row per (n, regime) with the attenuation and
     QSLT columns evaluated at the regime's observation time (short:
     tau_d = tau_f; long: the configured tau_d).
@@ -173,17 +154,18 @@ def run_sweep_n(cfg: ScenarioConfig, n_values):
     Each regime's QSLT window ends at its own evaluation time, so
     ``qsl_window`` = running and fixed give identical rows.
     """
-    if not n_values:
-        raise ValueError("n_values must be nonempty")
+    if not cfg.n_values:
+        raise ConfigError("sweep-n requires a nonempty --n-values or "
+                          "n_values config entry", field="n_values")
     params = SpectralParams(cfg.s, cfg.eta, cfg.omega_c)
     tag = ProtocolTag(cfg.protocol)
     rho0 = initial_state(cfg)
     t_evals = np.array([cfg.tau_f, cfg.tau_d])
 
     blocks, footnotes = [], set()
-    for n in n_values:
+    for n in cfg.n_values:
         dephasing = Dephasing(params, pdd_schedule(int(n), cfg.tau_f))
-        cols = _q_columns(dephasing, t_evals)
+        cols = dephasing.q_columns(t_evals)
         q = cols[tag]
         *qslt, footnote = _qslt_values(rho0, dephasing, tag, t_evals, q,
                                        fixed=False)
@@ -191,8 +173,8 @@ def run_sweep_n(cfg: ScenarioConfig, n_values):
         blocks.append((t_evals, *(cols[tag] for tag in _CSV_TAGS), q, *qslt))
     *values, ratio, upper, live = map(np.concatenate, zip(*blocks))
     regimes = ("short", "long")  # at t_evals[0] and t_evals[1]
-    columns = ([str(int(n)) for n in n_values for _ in regimes],
-               [*regimes] * len(n_values),
+    columns = ([str(int(n)) for n in cfg.n_values for _ in regimes],
+               [*regimes] * len(cfg.n_values),
                *map(_cells, values), _cells(ratio, live), _cells(upper, live))
     rows = list(zip(*columns))
     # a footnote stands only when it explains every row

@@ -156,7 +156,7 @@ def gamma0_quadrature(p: SpectralParams, t, tol=1e-10):
     Raises
     ------
     QuadratureError
-        On non-convergence; carries the achieved error estimate.
+        On non-convergence.
     """
     t = float(t)
     if t < 0:

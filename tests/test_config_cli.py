@@ -1,8 +1,8 @@
 """Config parsing round-trips and the command-line front end."""
 
+import warnings
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from dephasing_pdd import cli
@@ -184,8 +184,7 @@ class TestCli:
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(cfg):
-            raise QuadratureError("synthetic", estimate=0.0,
-                                  achieved_error=1.0)
+            raise QuadratureError("synthetic")
         monkeypatch.setattr(cli, "run_trace", boom)
         assert cli.main(["trace"]) == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -196,11 +195,16 @@ class TestCli:
         ["sweep-n", "--n-values", "0,1,5", "--omega-c", "1e300"],
         ["trace", "--s", "173", "--n-pulses", "0", "--tau-d", "12",
          "--min-points", "20"],
+        # Gamma0 = +inf gives Q = exp(-inf) = 0 at n = 0, where the true
+        # Q00(tau_f) is 1.0e-301
+        ["sweep-n", "--n-values", "0", "--omega-c", "1e300"],
     ], ids=["gamma0_overflows", "sweep_gamma0_overflows",
-            "euler_gamma_overflows"])
+            "euler_gamma_overflows", "sweep_unpulsed_gamma0_overflows"])
     def test_non_finite_q_is_numerical_failure(self, argv, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            # the failure is the exit code and its line, not a warning
+            warnings.simplefilter("error", RuntimeWarning)
             assert cli.main([*argv, "--out", str(out)]) == 3
         assert "numerical failure: " in capsys.readouterr().err
         assert not out.exists()
@@ -210,6 +214,19 @@ class TestCli:
         assert cli.main(["trace", "--eta", "1e300", "--tau-d", "12",
                          "--min-points", "20", "--n-pulses", "2"]) == 0
         assert "nan" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,field", [
+        (["trace", "--pulse-spacing", "1e-320"], "pulse_spacing"),
+        (["trace", "--pulse-spacing", "1e-300"], "pulse_spacing"),
+        (["trace", "--n-pulses", "10000000000"], "n_pulses"),
+        (["sweep-n", "--n-values", "1,10000000000"], "n_values"),
+    ], ids=["spacing_overflows", "spacing_tiny", "n_pulses", "n_values"])
+    def test_pulse_count_is_bounded(self, argv, field, capsys):
+        # each would ask pdd_schedule for 1e10 or more instants
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"(field '{field}')" in err
 
     def test_underflowing_pulse_spacing_is_numerical_failure(self, capsys):
         # at tau_f = 5e-324 the pulse instants underflow to equal values

@@ -191,12 +191,14 @@ class TestSignRate:
         assert np.array_equal(rows, np.arange(n))
 
     def test_call_is_a_positive_multiple_of_qdot(self):
-        dephasing = Dephasing(SpectralParams(3.0, 0.5), SCHED)
         ts = np.linspace(0.1, 20.0, 157)
-        for tag in ProtocolTag:
-            q_of_t, qdot_of_t = dephasing.functions(tag)
-            assert np.allclose(SignRate(dephasing, tag)(ts) * q_of_t(ts),
-                               qdot_of_t(ts), rtol=1e-13, atol=0.0)
+        for n in (0, 4):  # an empty schedule, and SCHED
+            dephasing = Dephasing(SpectralParams(3.0, 0.5),
+                                  pdd_schedule(n, 10.0))
+            for tag in ProtocolTag:
+                q_of_t, qdot_of_t = dephasing.functions(tag)
+                assert np.allclose(SignRate(dephasing, tag)(ts) * q_of_t(ts),
+                                   qdot_of_t(ts), rtol=1e-13, atol=0.0)
 
     def test_non_equidistant_schedule_never_enters_table(self, monkeypatch):
         calls = []

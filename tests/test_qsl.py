@@ -13,8 +13,9 @@ from dephasing_pdd.errors import (FrozenDynamicsError, NoCoherenceError,
                                   QuadratureError)
 from dephasing_pdd.pulses import pdd_schedule
 from dephasing_pdd.qsl import (QslInputs, _extrema, _nodes,
-                               cumulative_total_variation, phi0, qslt_general,
-                               qslt_ratio, qslt_upper_bound, total_variation)
+                               cumulative_total_variation, phi0, qslt_cells,
+                               qslt_general, qslt_ratio, qslt_upper_bound,
+                               total_variation)
 from dephasing_pdd.spectral import SpectralParams
 
 OHMIC = SpectralParams(1.0, 0.5)
@@ -241,6 +242,23 @@ class TestQsltRatio:
         qd = lambda t: -0.5 * np.sin(np.asarray(t, dtype=float))
         inputs = QslInputs(1.0, q, tau_d=4.0 * np.pi, qdot_of_t=qd)
         assert qslt_upper_bound(inputs, 2.0 * np.pi) == 0.0
+
+    def test_upper_bound_near_revival_is_the_cell_bound(self):
+        # 1e-14 < |1 - Q| <= 1e-14 / Phi0 at t = pi: Phi0 |1 - Q| alone
+        # would call this a revival, the CSV cell rule does not
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0] = m[3, 3] = 0.5
+        m[0, 3] = m[3, 0] = 0.25
+        pref = phi0(TwoQubitState(m))
+        assert pref == 0.5
+        q = lambda t: (1.0 - 0.2 * np.sin(np.asarray(t, dtype=float)) ** 2
+                       - 1.5e-14 * np.asarray(t, dtype=float) / np.pi)
+        inputs = QslInputs(pref, q, tau_d=np.pi)
+        assert 1e-14 < 1.0 - q(np.pi) <= 1e-14 / pref
+        tv = total_variation(q, np.pi)
+        _, bound, defined = qslt_cells(pref, q(np.pi), tv)
+        assert defined and bound == pref
+        assert qslt_upper_bound(inputs, np.pi) == bound
 
 
 class TestQsltGeneral:

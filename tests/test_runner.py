@@ -10,6 +10,7 @@ from dephasing_pdd.config import ScenarioConfig, load_config
 from dephasing_pdd.correlations import concurrence_wootters
 from dephasing_pdd.dynamics import (Attenuation, Dephasing, ProtocolTag,
                                     SignRate, two_qubit_evolve)
+from dephasing_pdd.errors import ConfigError
 from dephasing_pdd.pulses import ControlledDecoherence, pdd_schedule
 from dephasing_pdd.qsl import QslInputs, phi0, qslt_ratio, qslt_upper_bound
 from dephasing_pdd.runner import (FROZEN_FOOTNOTE, NO_COHERENCE_FOOTNOTE,
@@ -122,8 +123,8 @@ class TestRunTrace:
 
 class TestRunSweepN:
     def test_rows_per_n_and_regime(self):
-        cfg = small_cfg()
-        header, rows = run_sweep_n(cfg, (0, 2))
+        cfg = small_cfg(n_values=(0, 2))
+        header, rows = run_sweep_n(cfg)
         assert header[-1] == ",".join(SWEEP_COLUMNS)
         body = data_rows(rows)
         assert [r[:2] for r in body] == [("0", "short"), ("0", "long"),
@@ -133,20 +134,20 @@ class TestRunSweepN:
         assert float(body[1][te_col]) == cfg.tau_d
 
     def test_q_column_tracks_protocol(self):
-        cfg = small_cfg(protocol="Q10")
-        _, rows = run_sweep_n(cfg, (3,))
+        _, rows = run_sweep_n(small_cfg(protocol="Q10", n_values=(3,)))
         body = data_rows(rows)
         q_col = SWEEP_COLUMNS.index("Q")
         q10_col = SWEEP_COLUMNS.index("Q10")
         assert all(r[q_col] == r[q10_col] for r in body)
 
     def test_empty_n_values_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            run_sweep_n(small_cfg(), ())
+        with pytest.raises(ConfigError, match="nonempty") as err:
+            run_sweep_n(replace(small_cfg(), n_values=()))
+        assert err.value.field == "n_values"
 
     def test_frozen_footnote(self):
         for eta in (0.0, 1e-20):
-            _, rows = run_sweep_n(small_cfg(eta=eta), (0, 1))
+            _, rows = run_sweep_n(small_cfg(eta=eta, n_values=(0, 1)))
             assert rows[-1] == (FROZEN_FOOTNOTE,)
             assert all(r[-2:] == ("", "") for r in data_rows(rows))
 
@@ -158,8 +159,9 @@ class TestRunSweepN:
     ], ids=["q11_singlet", "q10_custom"])
     def test_window_modes_give_identical_rows(self, cfg):
         # each regime's window ends at its own evaluation time
-        _, running = run_sweep_n(cfg, (0, 3, 8))
-        _, fixed = run_sweep_n(replace(cfg, qsl_window="fixed"), (0, 3, 8))
+        cfg = replace(cfg, n_values=(0, 3, 8))
+        _, running = run_sweep_n(cfg)
+        _, fixed = run_sweep_n(replace(cfg, qsl_window="fixed"))
         assert running == fixed
         assert all(r[-1] != "" for r in data_rows(running))
 
@@ -180,7 +182,7 @@ class TestControlledBuilds:
     @pytest.mark.parametrize("protocol", ["Q00", "Q10", "Q11"])
     def test_one_controlled_gamma_per_sweep_point(self, builds, protocol):
         # shared by the Q columns and the extrema search
-        run_sweep_n(small_cfg(protocol=protocol), (3, 7, 0))
+        run_sweep_n(small_cfg(protocol=protocol, n_values=(3, 7, 0)))
         assert len(builds) == 2
 
     def test_one_controlled_gamma_per_trace(self, builds):
@@ -259,7 +261,7 @@ class TestQsltCellsMatchScalarApi:
                                       "fig2_sweep_nonmarkovian"])
     def test_sweep_rows(self, name):
         cfg = load_config(CONFIGS / f"{name}.cfg")
-        _, rows = run_sweep_n(cfg, cfg.n_values)
+        _, rows = run_sweep_n(cfg)
         for n in cfg.n_values:
             body = [r for r in data_rows(rows) if r[0] == str(n)]
             self.assert_close([r[-2:] for r in body], (cfg.tau_f, cfg.tau_d),

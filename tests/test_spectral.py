@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dephasing_pdd
+from dephasing_pdd.errors import QuadratureError
+from dephasing_pdd.quadrature import adaptive_panel_quad
 from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
                                     gamma0_derivative, gamma0_quadrature,
                                     spectral_density)
@@ -140,6 +142,11 @@ class TestGamma0Quadrature:
             gamma0_quadrature(BATHS[0], -1.0)
         with pytest.raises(ValueError):
             gamma0_quadrature(BATHS[0], 1.0, tol=0.0)
+
+    def test_divergent_integral_does_not_converge(self):
+        # int_0^1 dx / x diverges: every round bisects the panel at 0
+        with pytest.raises(QuadratureError, match="did not converge"):
+            adaptive_panel_quad(lambda x: 1.0 / x, 0.0, 1.0)
 
 
 class TestRuntimeDependencies:
