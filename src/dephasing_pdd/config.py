@@ -10,12 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
+from .correlations import XStateSummary
+from .dynamics import TwoQubitState, bell_phi_plus, singlet
 from .errors import ConfigError
 
 _PROTOCOLS = ("Q00", "Q10", "Q01", "Q11")
-_STATES = ("singlet", "bell_phi_plus", "custom")
+# the named initial states; "custom" assembles one from the rho entries
+_NAMED_STATES = {"singlet": singlet, "bell_phi_plus": bell_phi_plus}
+_STATES = (*_NAMED_STATES, "custom")
 _WINDOWS = ("running", "fixed")
-_BLOCK_TOL = 1e-12
 # 100x the largest sweep timed so far (N = 10,000); bounds the train size
 _MAX_PULSES = 10 ** 6
 
@@ -97,20 +102,24 @@ class ScenarioConfig:
         if any(not 0 <= n <= _MAX_PULSES for n in self.n_values):
             raise ConfigError(f"n_values must lie in [0, {_MAX_PULSES}]",
                               field="n_values")
-        if self.initial_state == "custom":
-            diag = (self.rho11, self.rho22, self.rho33, self.rho44)
-            if any(d < 0 for d in diag) or abs(sum(diag) - 1.0) > 1e-9:
-                raise ConfigError("custom diagonals must be nonnegative and "
-                                  "sum to 1", field="rho11")
-            # X-state positivity: each 2x2 block must be PSD
-            if (self.re_rho14 ** 2 + self.im_rho14 ** 2
-                    > self.rho11 * self.rho44 + _BLOCK_TOL):
-                raise ConfigError("|rho14|^2 must not exceed rho11 rho44",
-                                  field="re_rho14")
-            if (self.re_rho23 ** 2 + self.im_rho23 ** 2
-                    > self.rho22 * self.rho33 + _BLOCK_TOL):
-                raise ConfigError("|rho23|^2 must not exceed rho22 rho33",
-                                  field="re_rho23")
+        if self.initial_state == "custom":  # named states are valid as built
+            try:
+                XStateSummary.from_state(self.state())
+            except ValueError as exc:
+                raise ConfigError(f"invalid custom initial state: {exc}",
+                                  field="initial_state") from exc
+
+    def state(self) -> TwoQubitState:
+        """The initial state: a named one, or the custom X-state of the rho
+        entries, whose rule :class:`XStateSummary` states."""
+        if self.initial_state in _NAMED_STATES:
+            return _NAMED_STATES[self.initial_state]()
+        a14 = self.re_rho14 + 1j * self.im_rho14
+        a23 = self.re_rho23 + 1j * self.im_rho23
+        return TwoQubitState(np.array(
+            [[self.rho11, 0, 0, a14], [0, self.rho22, a23, 0],
+             [0, a23.conjugate(), self.rho33, 0],
+             [a14.conjugate(), 0, 0, self.rho44]], dtype=complex))
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":

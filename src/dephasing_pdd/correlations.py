@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TwoQubitState
+from .dynamics import TRACE_ATOL, TwoQubitState
 
-_BLOCK_TOL = 1e-12
+_BLOCK_RTOL = 1e-12  # relative, so zero populations need zero coherence
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,9 @@ class XStateSummary:
     an array of values along a trajectory.
 
     ``d`` are the four diagonals, ``a14``/``a23`` the initial anti-diagonal
-    coherences.  The block positivity bounds |a14| <= sqrt(d1 d4) and
-    |a23| <= sqrt(d2 d3) are enforced up to a small tolerance.
+    coherences.  Construction enforces the one X-state rule the closed
+    forms need: every d >= 0, |sum d - 1| <= ``TRACE_ATOL`` and
+    |a14|^2 <= d1 d4 (1 + 1e-12), |a23|^2 <= d2 d3 (1 + 1e-12); NaN fails.
     """
 
     d: tuple
@@ -38,14 +39,15 @@ class XStateSummary:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "a14", complex(self.a14))
         object.__setattr__(self, "a23", complex(self.a23))
-        if len(d) != 4 or any(x < -_BLOCK_TOL for x in d):
+        if len(d) != 4 or not all(x >= 0.0 for x in d):
             raise ValueError("diagonals must be four nonnegative numbers")
-        if abs(sum(d) - 1.0) > 1e-9:
+        if not abs(sum(d) - 1.0) <= TRACE_ATOL:
             raise ValueError(f"diagonals must sum to 1, got {sum(d)}")
-        if abs(self.a14) > np.sqrt(d[0] * d[3]) + _BLOCK_TOL:
-            raise ValueError("|rho14| violates block positivity")
-        if abs(self.a23) > np.sqrt(d[1] * d[2]) + _BLOCK_TOL:
-            raise ValueError("|rho23| violates block positivity")
+        for name, a, block in (("rho14", self.a14, d[0] * d[3]),
+                               ("rho23", self.a23, d[1] * d[2])):
+            if not abs(a) ** 2 <= block * (1.0 + _BLOCK_RTOL):
+                raise ValueError(f"|{name}| violates block positivity: "
+                                 f"|{name}|^2 = {abs(a) ** 2} > {block}")
 
     @classmethod
     def from_state(cls, state: TwoQubitState, q: float = 1.0):

@@ -22,7 +22,7 @@ from .pulses import ControlledDecoherence, PulseSchedule, free_decoherence
 from .spectral import SpectralParams, gamma0_derivative
 
 _HERMITICITY_ATOL = 1e-10
-_TRACE_ATOL = 1e-12
+TRACE_ATOL = 1e-12  # |trace - 1| of a state, |sum d - 1| of an X-state
 _PSD_FLOOR = -1e-10
 _X_STATE_ATOL = 1e-12
 
@@ -39,7 +39,7 @@ class TwoQubitState:
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.allclose(m, m.conj().T, atol=_HERMITICITY_ATOL, rtol=0):
             raise ValueError("density matrix is not Hermitian")
-        if abs(m.trace().real - 1.0) > _TRACE_ATOL or abs(m.trace().imag) > _TRACE_ATOL:
+        if abs(m.trace().real - 1.0) > TRACE_ATOL or abs(m.trace().imag) > TRACE_ATOL:
             raise ValueError(f"trace must be 1, got {m.trace()}")
         if np.linalg.eigvalsh(m).min() < _PSD_FLOOR:
             raise ValueError("density matrix is not positive semidefinite")

@@ -61,11 +61,6 @@ class PulseSchedule:
     def n_pulses(self):
         return len(self.instants)
 
-    @property
-    def spacing(self):
-        """Inter-pulse interval tau_f / (N + 1) for an equidistant train."""
-        return self.tau_f / (self.n_pulses + 1)
-
 
 def pdd_schedule(n_pulses: int, tau_f: float) -> PulseSchedule:
     """Equally spaced train: tau_n = n * tau_f / (N + 1), n = 1..N."""

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .correlations import purity, relative_purity
+from .correlations import XStateSummary, purity, relative_purity
 from .dynamics import TwoQubitState
 from .errors import FrozenDynamicsError, NoCoherenceError, QuadratureError
 from .quadrature import adaptive_panel_quad
@@ -37,25 +37,26 @@ _MAX_SCAN_ROUNDS = 10
 _MAX_REFINE_ROUNDS = 100
 
 
+def _coherences(rho0: TwoQubitState):
+    """(d, |a14|, |a23|) of the X-state ``rho0``, read and checked by
+    :class:`XStateSummary`; :class:`NoCoherenceError` if both coherences
+    vanish: nothing dephases, so the QSLT is undefined."""
+    x = XStateSummary.from_state(rho0)
+    a14, a23 = abs(x.a14), abs(x.a23)
+    if a14 + a23 <= _FROZEN_TOL:
+        raise NoCoherenceError("initial X-state has no anti-diagonal coherence")
+    return x.d, a14, a23
+
+
 def phi0(rho0: TwoQubitState) -> float:
     """Initial-state prefactor of the X-state QSLT formula.
 
     Phi0 = max{ 2(|a14|^2 + |a23|^2) / [(d1 + d4)|a14| + (d2 + d3)|a23|],
                 sqrt(2(|a14|^2 + |a23|^2)) }
 
-    Raises
-    ------
-    NoCoherenceError
-        If both anti-diagonal coherences vanish: nothing dephases, so the
-        QSLT is undefined for such states.
+    Raises :class:`NoCoherenceError` for a state without coherence.
     """
-    if not rho0.is_x_state():
-        raise ValueError("state is not X-shaped")
-    m = rho0.matrix
-    d = m.diagonal().real
-    a14, a23 = abs(m[0, 3]), abs(m[1, 2])
-    if a14 + a23 <= _FROZEN_TOL:
-        raise NoCoherenceError("initial X-state has no anti-diagonal coherence")
+    d, a14, a23 = _coherences(rho0)
     num = 2.0 * (a14 ** 2 + a23 ** 2)
     den = (d[0] + d[3]) * a14 + (d[1] + d[2]) * a23
     return float(max(num / den, np.sqrt(num)))
@@ -250,13 +251,15 @@ def qslt_cells(phi0, q, tv, fixed=False):
     return ratio, bound, tv > _FROZEN_TOL
 
 
-def _cell(inputs: QslInputs, t_eval, variation):
+def _cell(inputs: QslInputs, t_eval, rel_tol=1e-9):
     """(ratio, bound) of :func:`qslt_cells` at ``t_eval`` on the window
-    [0, t_eval], given ``variation()``, the total variation of Q there."""
+    [0, t_eval], from the total variation of Q there."""
     if not 0.0 < t_eval <= inputs.tau_d * (1 + 1e-12):
         raise ValueError(f"t_eval must lie in (0, tau_d], got {t_eval}")
     q = float(np.asarray(inputs.q_of_t(t_eval)).item())
-    ratio, bound, defined = qslt_cells(inputs.phi0, q, variation())
+    ratio, bound, defined = qslt_cells(inputs.phi0, q, total_variation(
+        inputs.q_of_t, t_eval, breakpoints=inputs.breakpoints,
+        rel_tol=rel_tol, qdot_of_t=inputs.qdot_of_t))
     if not defined:
         raise FrozenDynamicsError("Q(t) = 1 on the whole window")
     return float(ratio), float(bound)
@@ -269,20 +272,16 @@ def qslt_ratio(inputs: QslInputs, t_eval, rel_tol=1e-9):
     Raises :class:`FrozenDynamicsError` when Q never leaves 1 on the
     window (zero total variation).
     """
-    return _cell(inputs, t_eval, lambda: total_variation(
-        inputs.q_of_t, t_eval, breakpoints=inputs.breakpoints,
-        rel_tol=rel_tol, qdot_of_t=inputs.qdot_of_t))[0]
+    return _cell(inputs, t_eval, rel_tol)[0]
 
 
 def qslt_upper_bound(inputs: QslInputs, t_eval):
     """Analytic bound Phi0 (1 - Q(t_eval)) / (1 - Q(tau_d)), tau_d = t_eval:
     Phi0 away from revivals and 0 at them.  Equals :func:`qslt_ratio`
-    whenever Q is monotone on the window.  The variation of Q over 65
-    equidistant probes stands in for its total variation, which decides
-    only whether Q is frozen.
+    whenever Q is monotone on the window, and is frozen (raises
+    :class:`FrozenDynamicsError`) exactly where the ratio is.
     """
-    return _cell(inputs, t_eval, lambda: np.abs(np.diff(np.asarray(
-        inputs.q_of_t(np.linspace(0.0, t_eval, 65)), dtype=float))).sum())[1]
+    return _cell(inputs, t_eval)[1]
 
 
 def qslt_general(rho0: TwoQubitState, q_of_t, qdot_of_t, tau_d,
@@ -299,14 +298,10 @@ def qslt_general(rho0: TwoQubitState, q_of_t, qdot_of_t, tau_d,
     times <|dQ/dt|>, integrated to ``rel_tol`` by adaptive quadrature on
     panels split at the pulse instants and the extrema of Q.
     """
-    if not rho0.is_x_state():
-        raise ValueError("state is not X-shaped")
+    _, a14, a23 = _coherences(rho0)
     m = rho0.matrix
-    a14, a23 = m[0, 3], m[1, 2]
-    if abs(a14) + abs(a23) <= _FROZEN_TOL:
-        raise NoCoherenceError("initial X-state has no anti-diagonal coherence")
     rho_eigs = np.sort(np.linalg.eigvalsh(m))[::-1]
-    sigma_per_speed = np.sort([abs(a14), abs(a14), abs(a23), abs(a23)])[::-1]
+    sigma_per_speed = np.sort([a14, a14, a23, a23])[::-1]
 
     nodes = _nodes(q_of_t, qdot_of_t, 0.0, float(tau_d), breakpoints, rel_tol)
     speed = adaptive_panel_quad(

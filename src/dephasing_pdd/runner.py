@@ -21,8 +21,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .correlations import (XStateSummary, concurrence_x, consonance,
                            discord_singlet)
-from .dynamics import (Dephasing, ProtocolTag, SignRate, TwoQubitState,
-                       bell_phi_plus, singlet)
+from .dynamics import Dephasing, ProtocolTag, SignRate
 from .errors import ConfigError, NoCoherenceError
 from .pulses import pdd_schedule
 from .qsl import cumulative_total_variation, phi0, qslt_cells
@@ -39,6 +38,9 @@ SWEEP_COLUMNS = ("n", "regime", "t_eval", "Q00", "Q10", "Q11", "Q",
                  "qslt_ratio", "qslt_upper_bound")
 # the protocol columns both datasets carry (Q01 equals Q10)
 _CSV_TAGS = (ProtocolTag.Q00, ProtocolTag.Q10, ProtocolTag.Q11)
+# 245x the largest grid a shipped config or benchmark item builds (4,081
+# points, fig3 and fig4 at N = 100)
+_MAX_GRID_POINTS = 10 ** 6
 
 
 def _cells(values, live=None):
@@ -53,28 +55,20 @@ def _cells(values, live=None):
     return cells
 
 
-def initial_state(cfg: ScenarioConfig) -> TwoQubitState:
-    if cfg.initial_state == "singlet":
-        return singlet()
-    if cfg.initial_state == "bell_phi_plus":
-        return bell_phi_plus()
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = cfg.rho11, cfg.rho22, cfg.rho33, cfg.rho44
-    m[0, 3] = cfg.re_rho14 + 1j * cfg.im_rho14
-    m[1, 2] = cfg.re_rho23 + 1j * cfg.im_rho23
-    m[3, 0] = m[0, 3].conjugate()
-    m[2, 1] = m[1, 2].conjugate()
-    return TwoQubitState(m)
-
-
 def time_grid(cfg: ScenarioConfig, instants):
     """Grid over [0, tau_d] with every pulse instant (and tau_f) as a node,
     at least ``points_per_interval`` points per inter-pulse segment and at
-    least ``min_points`` overall."""
+    least ``min_points`` overall; a grid of more than ``_MAX_GRID_POINTS``
+    points is a :class:`ConfigError`, raised before any is made."""
     edges = sorted({0.0, cfg.tau_f, cfg.tau_d, *instants})
     segments = list(zip(edges[:-1], edges[1:]))
-    ppi = max(cfg.points_per_interval,
-              int(np.ceil(cfg.min_points / len(segments))))
+    ppi = max(cfg.points_per_interval, -(-cfg.min_points // len(segments)))
+    points = ppi * len(segments) + 1
+    if points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"the time grid would hold {points} points, more than "
+            f"{_MAX_GRID_POINTS}: lower min_points, points_per_interval or "
+            f"n_pulses")
     pieces = [np.linspace(a, b, ppi + 1) for a, b in segments]
     return np.unique(np.concatenate(pieces))
 
@@ -125,7 +119,7 @@ def run_trace(cfg: ScenarioConfig):
     params = SpectralParams(cfg.s, cfg.eta, cfg.omega_c)
     schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
     tag = ProtocolTag(cfg.protocol)
-    rho0 = initial_state(cfg)
+    rho0 = cfg.state()
     ts = time_grid(cfg, schedule.instants)
 
     dephasing = Dephasing(params, schedule)
@@ -159,7 +153,7 @@ def run_sweep_n(cfg: ScenarioConfig):
                           "n_values config entry", field="n_values")
     params = SpectralParams(cfg.s, cfg.eta, cfg.omega_c)
     tag = ProtocolTag(cfg.protocol)
-    rho0 = initial_state(cfg)
+    rho0 = cfg.state()
     t_evals = np.array([cfg.tau_f, cfg.tau_d])
 
     blocks, footnotes = [], set()

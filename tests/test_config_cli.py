@@ -1,9 +1,15 @@
 """Config parsing round-trips and the command-line front end."""
 
+import cmath
+import contextlib
+import io
+import math
 import warnings
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dephasing_pdd import cli
 from dephasing_pdd.config import ScenarioConfig, load_config
@@ -54,10 +60,10 @@ class TestScenarioConfig:
         (dict(initial_state="ghz"), "initial_state"),
         (dict(qsl_window="sliding"), "qsl_window"),
         (dict(points_per_interval=1), "points_per_interval"),
-        (dict(initial_state="custom", rho11=0.9), "rho11"),
+        (dict(initial_state="custom", rho11=0.9), "initial_state"),
         (dict(pulse_spacing=float("inf")), "pulse_spacing"),
         (dict(initial_state="custom", rho11=0.1, rho22=0.4, rho33=0.4,
-              rho44=0.1, re_rho23=-0.45), "re_rho23"),
+              rho44=0.1, re_rho23=-0.45), "initial_state"),
     ])
     def test_validation_failures(self, kwargs, field):
         with pytest.raises(ConfigError) as err:
@@ -228,6 +234,21 @@ class TestCli:
         assert err.startswith("config error:")
         assert f"(field '{field}')" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--min-points", str(10 ** 13)],
+        ["--points-per-interval", str(10 ** 13)],
+        ["--min-points", str(10 ** 400)],
+        ["--n-pulses", "30000"],
+    ], ids=["min_points", "points_per_interval", "min_points_beyond_float",
+            "n_pulses"])
+    def test_time_grid_is_bounded(self, argv, capsys):
+        # refused before any array is made: 10**13 points would take 73 TiB
+        assert cli.main(["trace", "--n-pulses", "1", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        for name in ("min_points", "points_per_interval", "n_pulses"):
+            assert name in err
+
     def test_underflowing_pulse_spacing_is_numerical_failure(self, capsys):
         # at tau_f = 5e-324 the pulse instants underflow to equal values
         assert cli.main(["trace", "--tau-f", "5e-324",
@@ -253,6 +274,66 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ok: PASS" in out
         assert "bad: FAIL" in out
+
+
+# the edges of the custom-state rule: population sums off by nothing, by
+# less than the trace tolerance or by more; coherences at zero, inside
+# sqrt(d_i d_j), on it and just outside it
+_SUM_OFFSETS = (0.0, 1e-13, -1e-13, 5e-10, -5e-10)
+_COHERENCE_SCALES = (0.0, 0.5, 1.0, 1.0 + 1e-9, 1.0 + 1e-6)
+
+
+@st.composite
+def custom_entries(draw):
+    """(rho11, rho22, rho33, rho44, re_rho14, im_rho14, re_rho23, im_rho23)
+    near the boundary of the valid X-states, zero populations included."""
+    raw = [draw(st.just(0.0) | st.floats(0.0, 1.0)) for _ in range(4)]
+    if not any(raw):
+        raw[0] = 1.0
+    d = [x / sum(raw) for x in raw]
+    d[draw(st.integers(0, 3))] += draw(st.sampled_from(_SUM_OFFSETS))
+    coherences = []
+    for i, j in ((0, 3), (1, 2)):
+        scale = draw(st.sampled_from(_COHERENCE_SCALES) | st.floats(0.0, 1.0))
+        size = (scale * math.sqrt(max(d[i] * d[j], 0.0))
+                + draw(st.sampled_from((0.0, 1e-12))))
+        a = size * cmath.exp(1j * draw(st.sampled_from((0.0, math.pi / 2))
+                                       | st.floats(0.0, 2 * math.pi)))
+        coherences += [a.real, a.imag]
+    return (*d, *coherences)
+
+
+_ENTRY_FLAGS = ("--rho11", "--rho22", "--rho33", "--rho44", "--re-rho14",
+                "--im-rho14", "--re-rho23", "--im-rho23")
+
+
+@settings(max_examples=150, deadline=None)
+@given(custom_entries())
+# the four entries that passed validation and then failed at the parent:
+# a sum 5e-10 off (exit 3), |rho14|^2 above rho11 rho44 by 1e-12 (exit 3),
+# a coherence between zero populations (inf cells) and a population of
+# -5e-13 (nan cells)
+@example((0.25, 0.25, 0.25, 0.2500000005, 0.0, 0.0, 0.0, 0.0))
+@example((1e-6, 0.499999, 0.499999, 1e-6, 1.4e-6, 0.0, 0.0, 0.0))
+@example((0.0, 0.5, 0.5, 0.0, 1e-12, 0.0, 0.0, 0.0))
+@example((-5e-13, 0.5, 0.5, 5e-13, 0.0, 0.0, -0.4, 0.0))
+def test_custom_state_exits_cleanly(entries):
+    """Every custom state is refused with exit 2 or traced with finite
+    cells only."""
+    argv = ["trace", "--initial-state", "custom", "--n-pulses", "2",
+            "--tau-d", "12", "--min-points", "20", "--points-per-interval",
+            "4", *(f"{flag}={value!r}" for flag, value in zip(_ENTRY_FLAGS,
+                                                               entries))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert "(field 'initial_state')" in err.getvalue()
+    else:
+        cells = {c for line in out.getvalue().splitlines()
+                 if not line.startswith("#") for c in line.split(",")}
+        assert not cells & {"nan", "inf", "-inf"}
 
 
 class TestCheckResult:

@@ -59,9 +59,6 @@ class TestPulseSchedule:
         for t in (0.0, 3.0, 12.0):
             assert gamma(t) == pytest.approx(gamma0_analytic(OHMIC, t))
 
-    def test_spacing(self):
-        assert pdd_schedule(4, 10.0).spacing == pytest.approx(2.0)
-
     def test_pdd_instants(self):
         sched = pdd_schedule(10, 10.0)
         expected = [10.0 * n / 11.0 for n in range(1, 11)]
@@ -107,7 +104,7 @@ class TestControlledDecoherence:
             base = free_decoherence(p)
             base_dot = lambda t: gamma0_derivative(p, t)
             gamma = ControlledDecoherence(base, sched, base_dot)
-            for t in (ts, float(ts[1]), sched.spacing * (n // 2 + 1)):
+            for t in (ts, float(ts[1]), 10.0 / (n + 1) * (n // 2 + 1)):
                 assert np.array_equal(gamma(t),
                                       per_pulse_reference(gamma, base, t, True))
                 assert np.array_equal(

@@ -260,6 +260,18 @@ class TestQsltRatio:
         assert defined and bound == pref
         assert qslt_upper_bound(inputs, np.pi) == bound
 
+    def test_bounds_share_the_frozen_rule(self):
+        # Q dips by 1e-13 64 times, each dip ending on an equidistant
+        # 65-point probe of [0, 1]: the total variation is 1.28e-11, so
+        # neither bound calls Q frozen, and Q(1) rounds to 1
+        q = lambda t: 1.0 - 1e-13 * np.sin(64 * np.pi * np.asarray(t)) ** 2
+        qd = lambda t: -6.4e-12 * np.pi * np.sin(128 * np.pi * np.asarray(t))
+        assert total_variation(q, 1.0, qdot_of_t=qd) == pytest.approx(
+            1.28e-11, rel=1e-6)
+        inputs = QslInputs(1.0, q, tau_d=1.0, qdot_of_t=qd)
+        assert qslt_ratio(inputs, 1.0) == 0.0
+        assert qslt_upper_bound(inputs, 1.0) == 0.0
+
 
 class TestQsltGeneral:
     def test_requires_coherence(self):

@@ -15,8 +15,8 @@ from dephasing_pdd.pulses import ControlledDecoherence, pdd_schedule
 from dephasing_pdd.qsl import QslInputs, phi0, qslt_ratio, qslt_upper_bound
 from dephasing_pdd.runner import (FROZEN_FOOTNOTE, NO_COHERENCE_FOOTNOTE,
                                   SWEEP_COLUMNS, TRACE_COLUMNS, _cells,
-                                  initial_state, render_csv, run_sweep_n,
-                                  run_trace, time_grid)
+                                  render_csv, run_sweep_n, run_trace,
+                                  time_grid)
 from dephasing_pdd.spectral import SpectralParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -50,16 +50,16 @@ class TestTimeGrid:
 
 class TestInitialState:
     def test_named_states(self):
-        assert initial_state(small_cfg(initial_state="singlet")).matrix[
+        assert small_cfg(initial_state="singlet").state().matrix[
             1, 2] == pytest.approx(-0.5)
-        assert initial_state(small_cfg(initial_state="bell_phi_plus")).matrix[
+        assert small_cfg(initial_state="bell_phi_plus").state().matrix[
             0, 3] == pytest.approx(0.5)
 
     def test_custom_state(self):
         cfg = small_cfg(initial_state="custom", rho11=0.4, rho22=0.3,
                         rho33=0.2, rho44=0.1, re_rho14=0.1, im_rho14=0.05,
                         re_rho23=0.0, im_rho23=0.0)
-        m = initial_state(cfg).matrix
+        m = cfg.state().matrix
         assert m[0, 3] == pytest.approx(0.1 + 0.05j)
         assert m[3, 0] == pytest.approx(0.1 - 0.05j)
 
@@ -104,7 +104,7 @@ class TestRunTrace:
                         rho33=0.25, rho44=0.2, re_rho14=0.1, im_rho14=0.0,
                         re_rho23=0.05, im_rho23=0.1, protocol="Q11")
         header, rows = run_trace(cfg)
-        rho0 = initial_state(cfg)
+        rho0 = cfg.state()
         c_col = TRACE_COLUMNS.index("C_t")
         q11_col = TRACE_COLUMNS.index("Q11")
         for row in data_rows(rows)[::7]:
@@ -234,7 +234,7 @@ class TestQsltCellsMatchScalarApi:
                               schedule)
         tag = ProtocolTag(cfg.protocol)
         q_of_t, _ = dephasing.functions(tag)
-        inputs = QslInputs(phi0(initial_state(cfg)), q_of_t, cfg.tau_d,
+        inputs = QslInputs(phi0(cfg.state()), q_of_t, cfg.tau_d,
                            schedule.instants, SignRate(dephasing, tag))
         return (lambda t: qslt_ratio(inputs, t),
                 lambda t: qslt_upper_bound(inputs, t))
