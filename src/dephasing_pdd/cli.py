@@ -71,15 +71,16 @@ def build_parser():
 
 
 def _build_config(args) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
-    for f in fields(cfg):
+    flags = {}
+    for f in fields(ScenarioConfig):
         text = getattr(args, f.name, None)
         if text is not None:
             try:
-                setattr(cfg, f.name, _parse_value(f.name, text))
+                flags[f.name] = _parse_value(f.name, text)
             except ValueError as exc:
                 raise ConfigError(str(exc), field=f.name) from exc
-    cfg.validate()
+    cfg = (load_config(args.config, flags) if args.config
+           else ScenarioConfig(**flags))
     if cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(
             os.path.dirname(os.path.abspath(cfg.out)))):
         # checked before the run, so a bad path costs no computation

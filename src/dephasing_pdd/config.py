@@ -123,25 +123,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
-        """Parse key=value lines; unknown keys and malformed lines raise
-        :class:`ConfigError` with line diagnostics."""
-        field_types = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("expected key=value", line=lineno)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in field_types:
-                raise ConfigError("unknown key", field=key, line=lineno)
-            try:
-                kwargs[key] = _parse_value(key, value)
-            except ValueError as exc:
-                raise ConfigError(str(exc), field=key, line=lineno) from exc
-        return cls(**kwargs)
+        """Parse key=value lines (see :func:`_parse_text`) and validate."""
+        return cls(**_parse_text(text))
 
     def to_text(self) -> str:
         lines = []
@@ -173,10 +156,35 @@ def _parse_value(key, value):
     return float(value)
 
 
-def load_config(path) -> ScenarioConfig:
+def _parse_text(text):
+    """The field values of key=value lines, not yet validated; unknown keys
+    and malformed lines raise :class:`ConfigError` with line diagnostics."""
+    field_names = {f.name for f in fields(ScenarioConfig)}
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("expected key=value", line=lineno)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in field_names:
+            raise ConfigError("unknown key", field=key, line=lineno)
+        try:
+            values[key] = _parse_value(key, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field=key, line=lineno) from exc
+    return values
+
+
+def load_config(path, overrides=None) -> ScenarioConfig:
+    """The scenario of the config file ``path`` with the parsed field values
+    ``overrides`` on top, validated once, so overrides can repair a file
+    that is only valid with them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return ScenarioConfig.from_text(text)
+    return ScenarioConfig(**{**_parse_text(text), **(overrides or {})})

@@ -107,6 +107,30 @@ class TestCli:
         assert "# s=1.0" in text
         assert "# n_pulses=2" in text
 
+    def test_flags_repair_config_file(self, tmp_path, capsys):
+        # the file alone breaks tau_f <= tau_d; the flag mends it
+        cfgfile = tmp_path / "long.cfg"
+        cfgfile.write_text("tau_f=40\nn_pulses=2\nmin_points=20\n"
+                           "points_per_interval=4\n", encoding="utf-8")
+        assert cli.main(["trace", "--config", str(cfgfile),
+                         "--tau-d", "50"]) == 0
+        assert "# tau_d=50.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,flags,message", [
+        ("tau_f=40\n", ["--tau-d", "35"],
+         "tau_f must not exceed tau_d (field 'tau_f')"),
+        ("tau_f=40\nbogus=3\n", ["--tau-d", "50"],
+         "unknown key (field 'bogus', line 2)"),
+        ("tau_f=40\ns=fast\n", ["--tau-d", "50", "--s", "1"],
+         "could not convert string to float: 'fast' (field 's', line 2)"),
+    ], ids=["still_invalid", "unknown_key", "bad_value_under_flag"])
+    def test_flags_do_not_hide_config_file_errors(self, text, flags, message,
+                                                  tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text, encoding="utf-8")
+        assert cli.main(["trace", "--config", str(cfgfile), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_sweep_requires_n_values(self, capsys):
         assert cli.main(["sweep-n"]) == 2
         assert "n-values" in capsys.readouterr().err
@@ -275,6 +299,16 @@ class TestCli:
         assert "ok: PASS" in out
         assert "bad: FAIL" in out
 
+
+    def test_verify_runs_every_check(self, capsys):
+        assert cli.main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "spectral_oracle", "filter_oracle", "hand_anchor",
+            "pulse_instant_continuity", "protocol_square_identity",
+            "protocol_symmetry", "concurrence_oracle", "qslt_inequalities",
+            "baseline_degeneracy"]
+        assert all(": PASS (measured " in line for line in lines)
 
 # the edges of the custom-state rule: population sums off by nothing, by
 # less than the trace tolerance or by more; coherences at zero, inside

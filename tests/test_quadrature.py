@@ -1,0 +1,83 @@
+"""The G10/K21 panel rule and the quadrature oracles against independent
+truths: numpy's Gauss-Legendre rule, exact monomial integrals and a
+40-digit mpmath evaluation of the closed-form sums."""
+
+import mpmath
+import numpy as np
+import pytest
+
+from dephasing_pdd.pulses import controlled_gamma_quadrature, pdd_schedule
+from dephasing_pdd.quadrature import _NODES, _WEIGHTS
+from dephasing_pdd.spectral import SpectralParams, gamma0_quadrature
+
+K21, G10 = _WEIGHTS.T
+ETA = 0.5
+
+
+def monomial_error(weights, k):
+    exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    return abs(_NODES ** k @ weights - exact)
+
+
+class TestRule:
+    def test_gauss_nodes_and_weights_match_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        on_gauss = G10 != 0.0
+        np.testing.assert_allclose(_NODES[on_gauss], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(G10[on_gauss], weights, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("weights,degree", [(K21, 31), (G10, 19)],
+                             ids=["K21", "G10"])
+    def test_polynomial_degree(self, weights, degree):
+        assert weights.sum() == pytest.approx(2.0, abs=1e-15)
+        for k in range(degree + 1):
+            assert monomial_error(weights, k) < 1e-15, k
+        # the degree is sharp: the next even power is off
+        assert monomial_error(weights, degree + 1) > 1e-13
+
+
+@mpmath.workdps(40)
+def gamma0_mp(s, t):
+    """Closed-form Gamma0(t) at omega_c = 1, to 40 digits."""
+    u = mpmath.mpf(t)
+    if s == 1.0:
+        return ETA / 2 * mpmath.log1p(u * u)
+    a = mpmath.mpf(s) - 1
+    return ETA * mpmath.gamma(a) * (
+        1 - mpmath.cos(a * mpmath.atan(u)) * (1 + u * u) ** (-a / 2))
+
+
+@mpmath.workdps(40)
+def controlled_gamma_mp(s, instants, t):
+    """Gamma(t) = -sum_{a<b} c_a c_b Gamma0(t_b - t_a) over the points
+    0, the float instants before t, and t, with weights 1, 2(-1)^j and
+    (-1)^(n+1): the filter-function integral expanded pair by pair."""
+    taus = [x for x in instants if x < t]
+    n = len(taus)
+    pts = [mpmath.mpf(x) for x in (0.0, *taus, t)]
+    c = [1, *(2 * (-1) ** j for j in range(1, n + 1)), (-1) ** (n + 1)]
+    return -mpmath.fsum(c[a] * c[b] * gamma0_mp(s, pts[b] - pts[a])
+                        for b in range(len(pts)) for a in range(b))
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("t", [0.3, 2.0, 11.0, 40.0])
+def test_gamma0_quadrature_within_tol_of_mpmath(s, t):
+    tol = 1e-10
+    ref = gamma0_mp(s, t)
+    got = gamma0_quadrature(SpectralParams(s, ETA), t, tol=tol)
+    assert abs(got - ref) <= tol * abs(ref)
+
+
+@pytest.mark.parametrize("s", [1.0, 3.0])
+@pytest.mark.parametrize("n", [5, 100])
+@pytest.mark.parametrize("side", [-0.25, 0.25], ids=["before", "after"])
+def test_controlled_gamma_quadrature_within_tol_of_mpmath(s, n, side):
+    # t a quarter spacing before or after the middle pulse
+    tol = 1e-9
+    sched = pdd_schedule(n, 10.0)
+    t = sched.instants[n // 2] + side * 10.0 / (n + 1)
+    ref = controlled_gamma_mp(s, sched.instants, t)
+    got = controlled_gamma_quadrature(SpectralParams(s, ETA), sched, t,
+                                      tol=tol)
+    assert abs(got - ref) <= tol * abs(ref)
