@@ -35,6 +35,7 @@ from .quadrature import adaptive_panel_quad, oscillation_breakpoints
 from .spectral import _TAIL_CUTOFFS, SpectralParams, gamma0_analytic
 
 _BLOCK_TERMS = 4096
+_PHASE_ENTRIES = 2 ** 20  # complex pulse phases held at once in the oracle
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,13 @@ class ControlledDecoherence:
         # branch, which Gamma_n continuity makes equivalent
         n = np.searchsorted(self._taus, tt.ravel(), side="left")
         # one fn call per block of ~_BLOCK_TERMS terms keeps memory flat
-        cuts = np.searchsorted(np.cumsum(n + 1), np.arange(
-            _BLOCK_TERMS, n.sum() + n.size, _BLOCK_TERMS))
+        pieces = [(tt.ravel(), n)]
+        if n.sum() + n.size > _BLOCK_TERMS:
+            cuts = np.searchsorted(np.cumsum(n + 1), np.arange(
+                _BLOCK_TERMS, n.sum() + n.size, _BLOCK_TERMS))
+            pieces = zip(np.split(tt.ravel(), cuts), np.split(n, cuts))
         blocks = []
-        for tb, nb in zip(np.split(tt.ravel(), cuts), np.split(n, cuts)):
+        for tb, nb in pieces:
             # point-major (point i, pulse j < n_i) pairs
             i = np.repeat(np.arange(nb.size), nb)
             j = np.arange(i.size) - (np.cumsum(nb) - nb)[i]
@@ -203,10 +207,17 @@ def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,
     signs_j = (-1.0) ** np.arange(1, n + 1)
     upper = _TAIL_CUTOFFS + 5.0 * p.s
 
+    # points per block: at most _PHASE_ENTRIES (point, pulse) phases
+    rows = max(1, _PHASE_ENTRIES // max(n, 1))
+
     def integrand(x):
         f = 1.0 + sign_t * np.exp(1j * u * x)
         if n:
-            f = f + 2.0 * (np.exp(1j * np.outer(x, v)) * signs_j).sum(axis=1)
+            for lo in range(0, len(x), rows):
+                phases = 1j * np.outer(x[lo:lo + rows], v)
+                np.exp(phases, out=phases)
+                phases *= signs_j
+                f[lo:lo + rows] += 2.0 * phases.sum(axis=1)
         mod2 = np.abs(f) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             val = 0.5 * x ** (p.s - 2.0) * np.exp(-x) * mod2

@@ -77,36 +77,45 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10):
     Raises
     ------
     QuadratureError
-        If the error budget is not met within 40 bisection rounds; the
-        message gives the last round's error bound.
+        If the integrand is not finite at a node, or the error budget is
+        not met within 40 bisection rounds; the message gives the last
+        round's error bound.
     """
     pts = np.asarray(breakpoints, dtype=float).ravel()
     pts = np.sort(pts[(a < pts) & (pts < b)])
     edges = np.concatenate(([a], pts, [b]))
-    lo_edges = edges[:-1].copy()
-    hi_edges = edges[1:].copy()
-
-    done_value = 0.0
-    done_error = 0.0
+    lo_edges, hi_edges = edges[:-1], edges[1:]
+    # retired panels' edges, values and error estimates
+    retired = np.zeros((4, 0))
 
     for _ in range(_MAX_ROUNDS):
         values, errors = _panel_estimates(f, lo_edges, hi_edges)
-        total = done_value + values.sum()
-        total_err = done_error + errors.sum()
+        total = retired[2].sum() + values.sum()
+        total_err = retired[3].sum() + errors.sum()
+        if not np.isfinite((total, total_err)).all():
+            raise QuadratureError(
+                f"the integrand is not finite on [{a:g}, {b:g}] (total "
+                f"{total:g}, error bound {total_err:g})")
         budget = rel_tol * max(abs(total), 1e-300)
         if total_err <= budget:
             return total
 
         # retire panels that already meet their per-panel share
-        n_active = len(lo_edges)
-        share = budget / (2.0 * n_active)
-        keep = errors > share
-        done_value += values[~keep].sum()
-        done_error += errors[~keep].sum()
+        keep = errors > budget / (2.0 * len(lo_edges))
+        retired = np.concatenate((retired, np.stack(
+            (lo_edges, hi_edges, values, errors))[:, ~keep]), axis=1)
+        lo_edges, hi_edges = lo_edges[keep], hi_edges[keep]
+        if not keep.any():
+            # the total shrank below the one the retired panels met: reopen
+            # them worst first, all but those that fit half the budget
+            order = np.argsort(retired[3])
+            fits = np.cumsum(retired[3][order]) <= 0.5 * budget
+            lo_edges, hi_edges = retired[:2, order[~fits]]
+            retired = retired[:, order[fits]]
 
-        mid = 0.5 * (lo_edges[keep] + hi_edges[keep])
-        lo_edges = np.concatenate((lo_edges[keep], mid))
-        hi_edges = np.concatenate((mid, hi_edges[keep]))
+        mid = 0.5 * (lo_edges + hi_edges)
+        lo_edges = np.concatenate((lo_edges, mid))
+        hi_edges = np.concatenate((mid, hi_edges))
 
     raise QuadratureError(
         f"quadrature did not converge to rel_tol={rel_tol:g} "

@@ -2,9 +2,9 @@
 
 Output is deterministic: metadata lives in '#'-prefixed header lines (the
 full configuration echoed back, no timestamps), numbers are formatted with
-9 significant digits, rows are in time order.  Each output column is
-formatted in bulk by :func:`_cells`, one C-level ``%`` call per column
-(the bytes of ``format(v, ".9g")``), and the columns are zipped into rows.
+9 significant digits, rows are in time order.  :func:`render_csv` formats
+each run of rows that share the same empty cells with one C-level ``%``
+call, the bytes of ``format(v, ".9g")`` in every cell.
 
 Each trace and each sweep point builds one
 :class:`~dephasing_pdd.dynamics.Dephasing`, so the controlled Gamma is set
@@ -14,7 +14,7 @@ and the sign-only extrema search.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,18 +41,21 @@ _CSV_TAGS = (ProtocolTag.Q00, ProtocolTag.Q10, ProtocolTag.Q11)
 # 245x the largest grid a shipped config or benchmark item builds (4,081
 # points, fig3 and fig4 at N = 100)
 _MAX_GRID_POINTS = 10 ** 6
+_CHUNK_ROWS = 65_536  # rows per ``%`` call: bounds the cells held at once
 
 
-def _cells(values, live=None):
-    """Column of CSV cells: ``"%.9g"`` of every value in one C-level
-    call, byte-identical to ``format(v, ".9g")``; cells where ``live`` is
-    False are left empty."""
-    values = np.asarray(values, dtype=float).tolist()
-    cells = ("%.9g\n" * len(values) % tuple(values)).split("\n")[:-1]
-    if live is not None:
-        for i in np.flatnonzero(~live):
-            cells[i] = ""
-    return cells
+@dataclass(frozen=True)
+class Table:
+    """CSV body: ``columns`` of float arrays (cells ``%.9g``) or lists of
+    ready strings, per column a mask (or one bool) of the printed cells in
+    ``live``, a footnote.  ``len`` counts the rows and the footnote."""
+
+    columns: list
+    live: list
+    footnote: str | None = None
+
+    def __len__(self):
+        return len(self.columns[0]) + (self.footnote is not None)
 
 
 def time_grid(cfg: ScenarioConfig, instants):
@@ -87,14 +90,9 @@ def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
     mask of the cells that are defined, and a footnote when none is.  Row
     i's window is [0, ts[i]], or [0, ts[-1]] when ``fixed``; its cells
     stay empty at t = 0 and where Q stays 1 to within 1e-14 on the window
-    (0/0 ratio).
-
-    The total variation's extrema search scans the sign of
-    -(Gamma_1' + Gamma_2') (:class:`~dephasing_pdd.dynamics.SignRate`),
-    read off one table on the equidistant train and off the exact
-    derivative elsewhere and at every refinement probe; only the node
-    values evaluate Q itself; :func:`~dephasing_pdd.qsl.qslt_cells` gives
-    the cells."""
+    (0/0 ratio).  The total variation's extrema search scans the sign of
+    :class:`~dephasing_pdd.dynamics.SignRate`; only the node values
+    evaluate Q itself."""
     try:
         pref = phi0(rho0)
     except NoCoherenceError:
@@ -112,9 +110,9 @@ def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
 def run_trace(cfg: ScenarioConfig):
     """Trajectory dataset: one row per grid point over [0, tau_d].
 
-    Returns (header_lines, rows); rows are tuples of formatted strings,
-    empty cells where a value is undefined (QD for non-singlet states,
-    QSLT at t = 0 or where Q stays 1 to within 1e-14 on the window).
+    Returns (header_lines, :class:`Table`), with empty cells where a value
+    is undefined (QD for non-singlet states, QSLT at t = 0 or where Q
+    stays 1 to within 1e-14 on the window).
     """
     params = SpectralParams(cfg.s, cfg.eta, cfg.omega_c)
     schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
@@ -126,18 +124,14 @@ def run_trace(cfg: ScenarioConfig):
     cols = dephasing.q_columns(ts)
     q = cols[tag]
     x_t = XStateSummary.from_state(rho0, q)
-    qd_t = (_cells(discord_singlet(q)) if cfg.initial_state == "singlet"
-            else [""] * len(ts))
+    singlet = cfg.initial_state == "singlet"
     ratio, upper, live, footnote = _qslt_values(
         rho0, dephasing, tag, ts, q, fixed=cfg.qsl_window == "fixed")
 
-    columns = [*map(_cells, (ts, *(cols[tag] for tag in _CSV_TAGS),
-                             concurrence_x(x_t), consonance(x_t))),
-               qd_t, _cells(ratio, live), _cells(upper, live)]
-    rows = list(zip(*columns))
-    if footnote:
-        rows.append((footnote,))
-    return _header("trace", cfg, TRACE_COLUMNS), rows
+    table = Table([ts, *(cols[tag] for tag in _CSV_TAGS), concurrence_x(x_t),
+                   consonance(x_t), discord_singlet(q) if singlet else None,
+                   ratio, upper], [True] * 6 + [singlet, live, live], footnote)
+    return _header("trace", cfg, TRACE_COLUMNS), table
 
 
 def run_sweep_n(cfg: ScenarioConfig):
@@ -165,17 +159,29 @@ def run_sweep_n(cfg: ScenarioConfig):
                                        fixed=False)
         footnotes.add(footnote)
         blocks.append((t_evals, *(cols[tag] for tag in _CSV_TAGS), q, *qslt))
-    *values, ratio, upper, live = map(np.concatenate, zip(*blocks))
+    *values, live = map(np.concatenate, zip(*blocks))
     regimes = ("short", "long")  # at t_evals[0] and t_evals[1]
-    columns = ([str(int(n)) for n in cfg.n_values for _ in regimes],
-               [*regimes] * len(cfg.n_values),
-               *map(_cells, values), _cells(ratio, live), _cells(upper, live))
-    rows = list(zip(*columns))
     # a footnote stands only when it explains every row
-    if len(footnotes) == 1 and None not in footnotes:
-        rows.append((footnotes.pop(),))
-    return _header("sweep-n", cfg, SWEEP_COLUMNS), rows
+    table = Table([[str(int(n)) for n in cfg.n_values for _ in regimes],
+                   [*regimes] * len(cfg.n_values), *values],
+                  [True] * 7 + [live, live],
+                  footnotes.pop() if len(footnotes) == 1 else None)
+    return _header("sweep-n", cfg, SWEEP_COLUMNS), table
 
 
-def render_csv(header, rows) -> str:
-    return "\n".join([*header, *map(",".join, rows)]) + "\n"
+def render_csv(header, table: Table) -> str:
+    """Header lines, rows, footnote: one ``(row_format * rows) % cells``
+    call per run of at most ``_CHUNK_ROWS`` rows with the same empty cells."""
+    rows = len(table.columns[0])
+    live = np.column_stack([np.broadcast_to(on, rows) for on in table.live])
+    cuts = np.flatnonzero((live[1:] != live[:-1]).any(axis=1)) + 1
+    bounds = sorted({*range(0, rows, _CHUNK_ROWS), *cuts.tolist(), rows})
+    text = [line + "\n" for line in header]
+    for lo, hi in zip(bounds, bounds[1:]):
+        shown = [v if on else None for v, on in zip(table.columns, live[lo])]
+        row_format = ",".join("" if v is None else "%s" if isinstance(v, list)
+                              else "%.9g" for v in shown) + "\n"
+        cells = np.array([v[lo:hi] for v in shown if v is not None],
+                         dtype=object).T.ravel().tolist()
+        text.append(row_format * (hi - lo) % tuple(cells))
+    return "".join(text) + (f"{table.footnote}\n" if table.footnote else "")

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 from dephasing_pdd import cli
 from dephasing_pdd.config import ScenarioConfig, load_config
 from dephasing_pdd.errors import ConfigError, QuadratureError
+from dephasing_pdd.runner import Table
 from dephasing_pdd.verify import CheckResult
 
+# what a stubbed run returns: no header, no rows
+EMPTY_RUN = ([], Table([[]], [True]))
 # every numeric ScenarioConfig field that `trace` takes as a flag
 NUMERIC_FIELDS = [f.name for f in fields(ScenarioConfig)
                   if f.type in ("float", "int", "float | None")]
@@ -88,6 +91,17 @@ class TestCli:
         assert lines[0].startswith("#")
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header.split(",")[:4] == ["t", "Q00", "Q10", "Q11"]
+
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, capsys):
+        argv = ["trace", "--n-pulses", "1", "--tau-d", "10",
+                "--min-points", "20", "--points-per-interval", "4"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"stale,row\n" * 10 ** 4)  # longer than the CSV
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+        assert cli.main([*argv, "--out", "/dev/null"]) == 0
 
     def test_trace_to_stdout(self, capsys):
         code = cli.main(["trace", "--n-pulses", "1", "--tau-d", "10",
@@ -181,7 +195,7 @@ class TestCli:
                                               .encode("latin-1"))
         runs = []
         monkeypatch.setattr(cli, "run_trace",
-                            lambda cfg: runs.append(cfg) or ([], []))
+                            lambda cfg: runs.append(cfg) or EMPTY_RUN)
         assert cli.main(["trace", *argv(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert runs == []  # rejected before any computation
@@ -191,7 +205,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise PermissionError("read-only")
         monkeypatch.setattr(cli, "open", refuse, raising=False)
-        monkeypatch.setattr(cli, "run_trace", lambda cfg: ([], []))
+        monkeypatch.setattr(cli, "run_trace", lambda cfg: EMPTY_RUN)
         assert cli.main(["trace", "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
@@ -282,7 +296,7 @@ class TestCli:
     def test_reused_parser_does_not_leak_flags(self, monkeypatch, capsys):
         seen = []
         monkeypatch.setattr(cli, "run_trace",
-                            lambda cfg: seen.append(cfg) or ([], []))
+                            lambda cfg: seen.append(cfg) or EMPTY_RUN)
         assert cli.main(["trace", "--eta", "0.7"]) == 0
         assert cli.main(["trace"]) == 0
         assert cli.build_parser() is cli.build_parser()

@@ -1,5 +1,7 @@
 """Pulse schedules and the controlled decoherence exponent."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,22 @@ class TestControlledDecoherence:
             terms = np.searchsorted(sched.instants, ts).sum()
             assert terms > 3 * pulses._BLOCK_TERMS
 
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_one_block_matches_many_blocks(self, n, monkeypatch):
+        # terms within one block skip the block split, bit for bit
+        sched = pdd_schedule(n, 10.0)
+        ts = np.random.default_rng(n).uniform(0.0, 12.0, 30)
+        assert np.searchsorted(sched.instants, ts).sum() + ts.size <= (
+            pulses._BLOCK_TERMS)
+        p = SpectralParams(3.0, 0.5)
+        gamma = ControlledDecoherence(free_decoherence(p), sched,
+                                      lambda t: gamma0_derivative(p, t))
+        one = [gamma(ts), gamma.derivative(ts), gamma(float(ts[0]))]
+        monkeypatch.setattr(pulses, "_BLOCK_TERMS", 3)
+        many = [gamma(ts), gamma.derivative(ts), gamma(float(ts[0]))]
+        for a, b in zip(one, many):
+            assert np.array_equal(a, b)
+
     def test_rejects_negative_time(self):
         gamma = ControlledDecoherence(free_decoherence(OHMIC),
                                       pdd_schedule(2, 10.0))
@@ -175,3 +193,23 @@ class TestFilterFunctionOracle:
         assert controlled_gamma_quadrature(frozen, sched, 5.0) == 0.0
         with pytest.raises(ValueError, match="nonnegative"):
             controlled_gamma_quadrature(OHMIC, sched, -1.0)
+
+    def test_memory_is_bounded_at_large_n(self):
+        # one (point, pulse) phase array per round held 133 MiB here
+        sched = pdd_schedule(1000, 10.0)
+        tracemalloc.start()
+        try:
+            controlled_gamma_quadrature(OHMIC, sched, 9.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("t", [0.3, 7.3, 12.0])
+    def test_phase_blocks_keep_each_value(self, t, monkeypatch):
+        sched = pdd_schedule(20, 10.0)
+        blocked = controlled_gamma_quadrature(OHMIC, sched, t)
+        monkeypatch.setattr(pulses, "_PHASE_ENTRIES", 2 ** 62)  # one block
+        assert controlled_gamma_quadrature(OHMIC, sched, t) == blocked
+        monkeypatch.setattr(pulses, "_PHASE_ENTRIES", 50)  # 2 points each
+        assert controlled_gamma_quadrature(OHMIC, sched, t) == blocked

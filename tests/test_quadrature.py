@@ -2,10 +2,14 @@
 truths: numpy's Gauss-Legendre rule, exact monomial integrals and a
 40-digit mpmath evaluation of the closed-form sums."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 
+from dephasing_pdd import quadrature
+from dephasing_pdd.errors import QuadratureError
 from dephasing_pdd.pulses import controlled_gamma_quadrature, pdd_schedule
 from dephasing_pdd.quadrature import _NODES, _WEIGHTS
 from dephasing_pdd.spectral import SpectralParams, gamma0_quadrature
@@ -81,3 +85,40 @@ def test_controlled_gamma_quadrature_within_tol_of_mpmath(s, n, side):
     got = controlled_gamma_quadrature(SpectralParams(s, ETA), sched, t,
                                       tol=tol)
     assert abs(got - ref) <= tol * abs(ref)
+
+
+def test_shrinking_total_reopens_retired_panels(monkeypatch):
+    # round 1 retires [0, 0.5] with an error of 1e-12 at a total of 1;
+    # round 2 shrinks the total to 1e-7, so that error alone breaks the
+    # budget: the panel is reopened, not left to stall the loop
+    script = {(0.0, 0.5): (0.5, 1e-12), (0.5, 1.0): (0.5, 1e-9),
+              (0.5, 0.75): (-0.25, 0.0), (0.75, 1.0): (-0.25 + 1e-7, 0.0),
+              (0.0, 0.25): (0.25, 0.0), (0.25, 0.5): (0.25, 0.0)}
+    panels = []
+
+    def scripted(f, lo, hi):
+        panels.append(len(lo))
+        cells = [script[edge] for edge in zip(lo.tolist(), hi.tolist())]
+        return (np.array([v for v, _ in cells]),
+                np.array([e for _, e in cells]))
+
+    monkeypatch.setattr(quadrature, "_panel_estimates", scripted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        total = quadrature.adaptive_panel_quad(None, 0.0, 1.0, [0.5],
+                                               rel_tol=1e-10)
+    assert total == pytest.approx(1e-7, rel=1e-8)
+    assert panels == [2, 2, 2]  # no idle round
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_integrand_raises_in_the_first_round(monkeypatch, bad):
+    rounds = []
+    estimates = quadrature._panel_estimates
+    monkeypatch.setattr(quadrature, "_panel_estimates",
+                        lambda *args: rounds.append(1) or estimates(*args))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(QuadratureError, match="not finite"):
+            quadrature.adaptive_panel_quad(
+                lambda x: np.where(x > 0.5, bad, 1.0), 0.0, 1.0, [0.5])
+    assert len(rounds) == 1

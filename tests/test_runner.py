@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dephasing_pdd import runner
 from dephasing_pdd.config import ScenarioConfig, load_config
 from dephasing_pdd.correlations import concurrence_wootters
 from dephasing_pdd.dynamics import (Attenuation, Dephasing, ProtocolTag,
@@ -14,7 +15,7 @@ from dephasing_pdd.errors import ConfigError
 from dephasing_pdd.pulses import ControlledDecoherence, pdd_schedule
 from dephasing_pdd.qsl import QslInputs, phi0, qslt_ratio, qslt_upper_bound
 from dephasing_pdd.runner import (FROZEN_FOOTNOTE, NO_COHERENCE_FOOTNOTE,
-                                  SWEEP_COLUMNS, TRACE_COLUMNS, _cells,
+                                  SWEEP_COLUMNS, TRACE_COLUMNS, Table,
                                   render_csv, run_sweep_n, run_trace,
                                   time_grid)
 from dephasing_pdd.spectral import SpectralParams
@@ -27,6 +28,13 @@ def small_cfg(**kwargs):
                 points_per_interval=4, min_points=30)
     base.update(kwargs)
     return ScenarioConfig(**base)
+
+
+def csv_rows(header, table):
+    """The rendered lines below the header, each split into its cells (a
+    footnote is a 1-tuple)."""
+    lines = render_csv(header, table).splitlines()[len(header):]
+    return [tuple(line.split(",")) for line in lines]
 
 
 def data_rows(rows):
@@ -73,7 +81,7 @@ class TestRunTrace:
         assert "# n_pulses=4" in header
 
     def test_first_row_has_empty_qslt_cells(self):
-        _, rows = run_trace(small_cfg())
+        rows = csv_rows(*run_trace(small_cfg()))
         first = data_rows(rows)[0]
         assert first[0] == "0"
         assert first[-2:] == ("", "")
@@ -81,14 +89,14 @@ class TestRunTrace:
         assert later[-2] != ""
 
     def test_discord_only_for_singlet(self):
-        _, rows = run_trace(small_cfg(initial_state="bell_phi_plus"))
+        rows = csv_rows(*run_trace(small_cfg(initial_state="bell_phi_plus")))
         qd_col = TRACE_COLUMNS.index("QD_t")
         assert all(r[qd_col] == "" for r in data_rows(rows))
 
     def test_frozen_dynamics_footnote(self):
         # at eta = 1e-20 Q rounds to 1 everywhere: the ratio would be 0/0
         for eta in (0.0, 1e-20):
-            _, rows = run_trace(small_cfg(eta=eta))
+            rows = csv_rows(*run_trace(small_cfg(eta=eta)))
             assert rows[-1] == (FROZEN_FOOTNOTE,)
             assert all(r[-2:] == ("", "") for r in data_rows(rows))
 
@@ -96,14 +104,14 @@ class TestRunTrace:
         cfg = small_cfg(initial_state="custom", rho11=0.4, rho22=0.3,
                         rho33=0.2, rho44=0.1, re_rho14=0.0, im_rho14=0.0,
                         re_rho23=0.0, im_rho23=0.0)
-        _, rows = run_trace(cfg)
+        rows = csv_rows(*run_trace(cfg))
         assert rows[-1] == (NO_COHERENCE_FOOTNOTE,)
 
     def test_concurrence_column_matches_wootters(self):
         cfg = small_cfg(initial_state="custom", rho11=0.3, rho22=0.25,
                         rho33=0.25, rho44=0.2, re_rho14=0.1, im_rho14=0.0,
                         re_rho23=0.05, im_rho23=0.1, protocol="Q11")
-        header, rows = run_trace(cfg)
+        rows = csv_rows(*run_trace(cfg))
         rho0 = cfg.state()
         c_col = TRACE_COLUMNS.index("C_t")
         q11_col = TRACE_COLUMNS.index("Q11")
@@ -115,7 +123,7 @@ class TestRunTrace:
 
     def test_running_ratio_is_one_for_free_singlet(self):
         cfg = small_cfg(n_pulses=0, protocol="Q00")
-        _, rows = run_trace(cfg)
+        rows = csv_rows(*run_trace(cfg))
         ratio_col = TRACE_COLUMNS.index("qslt_ratio")
         vals = [float(r[ratio_col]) for r in data_rows(rows)[1:]]
         assert np.max(np.abs(np.array(vals) - 1.0)) < 1e-6
@@ -124,7 +132,8 @@ class TestRunTrace:
 class TestRunSweepN:
     def test_rows_per_n_and_regime(self):
         cfg = small_cfg(n_values=(0, 2))
-        header, rows = run_sweep_n(cfg)
+        header, table = run_sweep_n(cfg)
+        rows = csv_rows(header, table)
         assert header[-1] == ",".join(SWEEP_COLUMNS)
         body = data_rows(rows)
         assert [r[:2] for r in body] == [("0", "short"), ("0", "long"),
@@ -134,7 +143,8 @@ class TestRunSweepN:
         assert float(body[1][te_col]) == cfg.tau_d
 
     def test_q_column_tracks_protocol(self):
-        _, rows = run_sweep_n(small_cfg(protocol="Q10", n_values=(3,)))
+        rows = csv_rows(*run_sweep_n(small_cfg(protocol="Q10",
+                                               n_values=(3,))))
         body = data_rows(rows)
         q_col = SWEEP_COLUMNS.index("Q")
         q10_col = SWEEP_COLUMNS.index("Q10")
@@ -147,7 +157,7 @@ class TestRunSweepN:
 
     def test_frozen_footnote(self):
         for eta in (0.0, 1e-20):
-            _, rows = run_sweep_n(small_cfg(eta=eta, n_values=(0, 1)))
+            rows = csv_rows(*run_sweep_n(small_cfg(eta=eta, n_values=(0, 1))))
             assert rows[-1] == (FROZEN_FOOTNOTE,)
             assert all(r[-2:] == ("", "") for r in data_rows(rows))
 
@@ -160,8 +170,8 @@ class TestRunSweepN:
     def test_window_modes_give_identical_rows(self, cfg):
         # each regime's window ends at its own evaluation time
         cfg = replace(cfg, n_values=(0, 3, 8))
-        _, running = run_sweep_n(cfg)
-        _, fixed = run_sweep_n(replace(cfg, qsl_window="fixed"))
+        running = csv_rows(*run_sweep_n(cfg))
+        fixed = csv_rows(*run_sweep_n(replace(cfg, qsl_window="fixed")))
         assert running == fixed
         assert all(r[-1] != "" for r in data_rows(running))
 
@@ -190,22 +200,63 @@ class TestControlledBuilds:
         assert len(builds) == 1
 
 
+def reference_lines(table):
+    """Row-by-row rendering: ``format(v, ".9g")`` of each float cell, the
+    string itself in a string column, "" where the cell is not live."""
+    rows = len(table) - (table.footnote is not None)
+    live = [np.broadcast_to(on, rows) for on in table.live]
+    lines = [",".join(
+        (values[i] if isinstance(values, list)
+         else format(float(values[i]), ".9g")) if on[i] else ""
+        for values, on in zip(table.columns, live)) for i in range(rows)]
+    return lines + ([table.footnote] if table.footnote is not None else [])
+
+
 class TestCells:
+    HARD = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16,
+            1e-5, 123456789.5, -123456789.5, 0.1, 1.0 / 3.0, 1.0]
+
     def test_matches_format_of_each_value(self):
-        hard = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16,
-                1e-5, 123456789.5, -123456789.5, 0.1, 1.0 / 3.0, 1.0]
         rng = np.random.default_rng(5)
         # arbitrary bit patterns: every exponent, subnormals, nan payloads
         bits = rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64)
-        values = np.concatenate((hard, bits.view(np.float64),
+        values = np.concatenate((self.HARD, bits.view(np.float64),
                                  rng.random(20_000)))
-        assert _cells(values) == [format(float(v), ".9g") for v in values]
+        # one column, then the same values as four columns of a table
+        one = render_csv([], Table([values], [True])).splitlines()
+        assert one == [format(float(v), ".9g") for v in values]
+        table = Table(list(values[:40_012].reshape(4, -1)), [True] * 4)
+        assert render_csv([], table).splitlines() == reference_lines(table)
 
     def test_cells_outside_live_are_empty(self):
-        cells = _cells([0.5, 2.0, np.nan, 3.0],
-                       live=np.array([True, False, False, True]))
-        assert cells == ["0.5", "", "", "3"]
-        assert _cells([]) == []
+        table = Table([np.array([0.5, 2.0, np.nan, 3.0])],
+                      [np.array([True, False, False, True])])
+        assert render_csv([], table).splitlines() == ["0.5", "", "", "3"]
+        assert render_csv(["# h"], Table([np.zeros(0)], [True])) == "# h\n"
+
+    def test_live_masks_change_mid_table(self, monkeypatch):
+        # runs of equal empty cells of every length, cut by short chunks
+        rng = np.random.default_rng(7)
+        n = 2_000
+        values = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+                  for _ in range(5)]
+        masks = [rng.random(n) < 0.5, np.repeat(rng.random(40) < 0.5, 50),
+                 np.arange(n) > 0]
+        table = Table(values, [True, *masks, False], "# note: x")
+        expected = reference_lines(table)
+        assert render_csv(["a"], table).splitlines() == ["a", *expected]
+        monkeypatch.setattr(runner, "_CHUNK_ROWS", 7)
+        assert render_csv(["a"], table).splitlines() == ["a", *expected]
+        assert len(table) == n + 1
+
+    def test_string_columns(self):
+        table = Table([["0", "0", "12", "12"], ["short", "long"] * 2,
+                       np.array([10.0, 30.0, 10.0, 30.0]),
+                       np.array([np.nan, 0.25, 1e-300, -0.0])],
+                      [True, True, True, np.array([False, True, True, True])])
+        assert render_csv([], table).splitlines() == [
+            "0,short,10,", "0,long,30,0.25", "12,short,10,1e-300",
+            "12,long,30,-0"]
 
 
 class TestRenderCsv:
@@ -216,8 +267,34 @@ class TestRenderCsv:
         assert text1 == text2
 
     def test_footnote_rendered_verbatim(self):
-        text = render_csv(["# h", "a,b"], [("1", "2"), ("# note: x",)])
-        assert text.splitlines()[-1] == "# note: x"
+        table = Table([np.array([1.0]), np.array([2.0])], [True, True],
+                      "# note: x")
+        text = render_csv(["# h", "a,b"], table)
+        assert text == "# h\na,b\n1,2\n# note: x\n"
+        assert len(table) == 2
+
+    @pytest.mark.parametrize("cfg", [
+        small_cfg(),
+        small_cfg(initial_state="bell_phi_plus", qsl_window="fixed"),
+        small_cfg(initial_state="custom", rho11=0.4, rho22=0.3, rho33=0.2,
+                  rho44=0.1, re_rho14=0.0, im_rho14=0.0, re_rho23=0.0,
+                  im_rho23=0.0),
+        small_cfg(eta=0.0),
+    ], ids=["singlet", "bell_fixed", "no_coherence", "frozen"])
+    def test_trace_matches_row_by_row_rendering(self, cfg):
+        # the t = 0 row, empty QD for a non-singlet, all-empty QSLT cells
+        header, table = run_trace(cfg)
+        lines = render_csv(header, table).splitlines()
+        assert lines == [*header, *reference_lines(table)]
+        assert len(lines) == len(header) + len(table)
+
+    def test_sweep_matches_row_by_row_rendering(self):
+        header, table = run_sweep_n(small_cfg(n_values=(0, 3, 12)))
+        lines = render_csv(header, table).splitlines()
+        assert lines == [*header, *reference_lines(table)]
+        assert [line.split(",")[:2] for line in lines[len(header):]] == [
+            [n, regime] for n in ("0", "3", "12")
+            for regime in ("short", "long")]
 
 
 class TestQsltCellsMatchScalarApi:
@@ -251,7 +328,7 @@ class TestQsltCellsMatchScalarApi:
                                       "fig3_trace_markovian_n100"])
     def test_trace_rows(self, name, protocol):
         cfg = replace(load_config(CONFIGS / f"{name}.cfg"), protocol=protocol)
-        _, rows = run_trace(cfg)
+        rows = csv_rows(*run_trace(cfg))
         ts = time_grid(cfg, pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
         pick = slice(97, None, 97)
         self.assert_close([r[-2:] for r in data_rows(rows)[pick]], ts[pick],
@@ -261,7 +338,7 @@ class TestQsltCellsMatchScalarApi:
                                       "fig2_sweep_nonmarkovian"])
     def test_sweep_rows(self, name):
         cfg = load_config(CONFIGS / f"{name}.cfg")
-        _, rows = run_sweep_n(cfg)
+        rows = csv_rows(*run_sweep_n(cfg))
         for n in cfg.n_values:
             body = [r for r in data_rows(rows) if r[0] == str(n)]
             self.assert_close([r[-2:] for r in body], (cfg.tau_f, cfg.tau_d),
