@@ -113,7 +113,9 @@ def counts(dp, calls):
             return f(x)
         return integrate(integrand, *args, **kwargs)
 
-    users = (dp.spectral, dp.pulses, dp.qsl)
+    # only where the name lives: an older --src has it in pulses too
+    users = [mod for mod in (dp.spectral, dp.pulses, dp.qsl)
+             if hasattr(mod, "adaptive_panel_quad")]
     quad._panel_estimates = counted_estimates
     for mod in users:
         mod.adaptive_panel_quad = counted_integrate

@@ -14,7 +14,8 @@ n-th and (n+1)-th pulse,
 The last two sums depend only on the schedule, so they are evaluated once
 per (schedule, bath) pair; each time point then costs O(N) terms, which
 reach Gamma0 in array calls of a few thousand terms, not a Python loop
-over the pulses.  A filter-function quadrature is the oracle in the tests.
+over the pulses.  The oracle in the tests is the bath integral
+(:func:`.spectral.bath_integral`) of the pulse-train filter function.
 
 The extrema search needs dGamma/dt only where it samples whole inter-pulse
 segments at common offsets.  On the equidistant train every segment has
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_panel_quad, oscillation_breakpoints
-from .spectral import _TAIL_CUTOFFS, SpectralParams, gamma0_analytic
+from .spectral import SpectralParams, bath_integral, gamma0_analytic
 
 _BLOCK_TERMS = 4096
 _PHASE_ENTRIES = 2 ** 20  # complex pulse phases held at once in the oracle
@@ -191,26 +191,21 @@ def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,
         Gamma(t) = int_0^inf  J(w) / (2 w^2) * |f_n(w, t)|^2 dw,
         f_n(w,t) = 1 + (-1)^(n+1) e^(iwt) + 2 sum_{j<=n} (-1)^j e^(iw tau_j),
 
-    with n the number of pulses before t, using the same adaptive panel
-    scheme as the free-exponent oracle.
+    with n the number of pulses before t: the bath integral of the weight
+    |f_n|^2 / 2, as in the free-exponent oracle.
     """
     t = float(t)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0 or p.eta == 0.0:
-        return 0.0
     taus = np.asarray([x for x in schedule.instants if x < t], dtype=float)
     n = len(taus)
     u = p.omega_c * t
     v = p.omega_c * taus
     sign_t = (-1.0) ** (n + 1)
     signs_j = (-1.0) ** np.arange(1, n + 1)
-    upper = _TAIL_CUTOFFS + 5.0 * p.s
 
     # points per block: at most _PHASE_ENTRIES (point, pulse) phases
     rows = max(1, _PHASE_ENTRIES // max(n, 1))
 
-    def integrand(x):
+    def weight(x):
         f = 1.0 + sign_t * np.exp(1j * u * x)
         if n:
             for lo in range(0, len(x), rows):
@@ -218,13 +213,9 @@ def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,
                 np.exp(phases, out=phases)
                 phases *= signs_j
                 f[lo:lo + rows] += 2.0 * phases.sum(axis=1)
-        mod2 = np.abs(f) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = 0.5 * x ** (p.s - 2.0) * np.exp(-x) * mod2
-        return np.where(x > 0, val, 0.0)
+        return 0.5 * np.abs(f) ** 2
 
-    pts = oscillation_breakpoints(u, upper)
-    return p.eta * adaptive_panel_quad(integrand, 0.0, upper, pts, rel_tol=tol)
+    return bath_integral(p, t, weight, tol)
 
 
 def free_decoherence(p: SpectralParams):

@@ -184,6 +184,8 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
 def _nodes(q_of_t, qdot_of_t, t_start, t_end, breakpoints, rel_tol):
     """Segment edges plus every extremum of Q on [t_start, t_end], sorted:
     Q is monotone between consecutive nodes."""
+    if np.isnan(rel_tol):  # it would stall the refinement; 0 means 4 eps
+        raise ValueError("rel_tol must not be nan")
     edges = np.array(sorted({t_start, t_end, *(
         x for x in breakpoints if t_start < x < t_end)}), dtype=float)
     if len(edges) < 2:

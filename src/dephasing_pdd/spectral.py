@@ -9,8 +9,10 @@ with its off-diagonal element scaled by exp(-Gamma0(t)), where
 Both the closed form of Gamma0 (exact for any Ohmicity s > 0, with the
 s = 1 logarithmic limit handled separately) and an independent adaptive
 quadrature of the defining integral are provided; the quadrature acts as
-the oracle in the test suite.  All times are dimensionless multiples of
-1/w_c.
+the oracle in the test suite.  It is one case of :func:`bath_integral`,
+J(w)/w^2 times a control's filter |f(w, t)|^2, whose other case is the
+pulse-train filter of :mod:`.pulses`.  All times are dimensionless
+multiples of 1/w_c.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_panel_quad, oscillation_breakpoints
+from .quadrature import adaptive_panel_quad
 
 # |s - 1| below this routes to the logarithmic Ohmic form; Euler Gamma's
 # pole at s = 1 makes the generic expression unusable nearby.
@@ -28,6 +30,8 @@ OHMIC_THRESHOLD = 1e-9
 
 # Exponential envelope exp(-w/w_c) is below 1e-26 beyond this many cutoffs.
 _TAIL_CUTOFFS = 60.0
+_ENVELOPE_KNEE = 1.0  # breakpoint at the exp(-x) envelope's scale
+_MAX_BREAKPOINTS = 4000  # half-period breakpoints, so panel counts stay bounded
 
 _FD_STEP = 1e-6  # relative step of gamma0_derivative(method="fd")
 
@@ -141,28 +145,19 @@ def gamma0_derivative(p: SpectralParams, t, method="analytic"):
     return _maybe_scalar(out, t)
 
 
-def gamma0_quadrature(p: SpectralParams, t, tol=1e-10):
-    """Gamma0(t) by adaptive quadrature of the defining integral.
+def bath_integral(p: SpectralParams, t, weight, tol):
+    """eta * int x^(s-2) e^(-x) weight(x) dx in x = w/w_c: J(w)/w^2 times a
+    filter ``weight``, a vectorized callable of x whose fastest
+    oscillation is e^(i x w_c t), integrated to relative tolerance ``tol``.
 
-    Independent oracle for :func:`gamma0_analytic`.  In the scaled variable
-    x = w/w_c the integrand is
-
-        eta * x^(s-2) * exp(-x) * 2 sin^2(x * w_c t / 2),
-
-    (the half-angle form avoids the 1 - cos cancellation).  The domain is
-    split at the envelope knee and at oscillation half-periods, then each
-    panel is refined adaptively.
-
-    Raises
-    ------
-    QuadratureError
-        On non-convergence.
+    The domain [0, 60 + 5s] leaves a tail below 1e-26 and is split at the
+    envelope knee x = 1 and at most 4000 half-periods pi/(w_c t).  Exactly
+    0.0 at t = 0 or eta = 0.  Raises ValueError for t < 0 or a ``tol`` that
+    is not positive and finite, QuadratureError on non-convergence.
     """
     t = float(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if t == 0.0 or p.eta == 0.0:
         return 0.0
     u = p.omega_c * t
@@ -170,8 +165,22 @@ def gamma0_quadrature(p: SpectralParams, t, tol=1e-10):
 
     def integrand(x):
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = x ** (p.s - 2.0) * np.exp(-x) * 2.0 * np.sin(0.5 * u * x) ** 2
+            val = x ** (p.s - 2.0) * np.exp(-x) * weight(x)
         return np.where(x > 0, val, 0.0)
 
-    pts = oscillation_breakpoints(u, upper)
+    pts = np.array([_ENVELOPE_KNEE])
+    if u > 0.0:  # w_c t underflows to 0 for tiny t
+        step = max(np.pi / u, upper / _MAX_BREAKPOINTS)
+        pts = np.concatenate((pts, np.arange(step, upper, step)))
     return p.eta * adaptive_panel_quad(integrand, 0.0, upper, pts, rel_tol=tol)
+
+
+def gamma0_quadrature(p: SpectralParams, t, tol=1e-10):
+    """Gamma0(t) by adaptive quadrature of the defining integral.
+
+    Independent oracle for :func:`gamma0_analytic`: :func:`bath_integral`
+    of the weight 2 sin^2(x w_c t / 2), the half-angle form of 1 - cos,
+    which avoids its cancellation.
+    """
+    u = p.omega_c * float(t)
+    return bath_integral(p, t, lambda x: 2.0 * np.sin(0.5 * u * x) ** 2, tol)

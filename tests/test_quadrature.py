@@ -2,6 +2,8 @@
 truths: numpy's Gauss-Legendre rule, exact monomial integrals and a
 40-digit mpmath evaluation of the closed-form sums."""
 
+import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -9,8 +11,11 @@ import numpy as np
 import pytest
 
 from dephasing_pdd import quadrature
+from dephasing_pdd.dynamics import (ControlProtocol, ProtocolTag,
+                                    attenuation_functions, singlet)
 from dephasing_pdd.errors import QuadratureError
 from dephasing_pdd.pulses import controlled_gamma_quadrature, pdd_schedule
+from dephasing_pdd.qsl import qslt_general
 from dephasing_pdd.quadrature import _NODES, _WEIGHTS
 from dephasing_pdd.spectral import SpectralParams, gamma0_quadrature
 
@@ -122,3 +127,48 @@ def test_non_finite_integrand_raises_in_the_first_round(monkeypatch, bad):
             quadrature.adaptive_panel_quad(
                 lambda x: np.where(x > 0.5, bad, 1.0), 0.0, 1.0, [0.5])
     assert len(rounds) == 1
+
+
+def oracle_call(name, tol):
+    """One call of each oracle at a given tolerance."""
+    p = SpectralParams(1.0, ETA)
+    sched = pdd_schedule(2, 10.0)
+    if name == "gamma0":
+        return gamma0_quadrature(p, 5.0, tol=tol)
+    if name == "filter":
+        return controlled_gamma_quadrature(p, sched, 5.0, tol=tol)
+    q_of_t, qdot_of_t = attenuation_functions(
+        ControlProtocol(ProtocolTag("Q11"), sched), p)
+    return qslt_general(singlet(), q_of_t, qdot_of_t, 5.5,
+                        breakpoints=sched.instants, rel_tol=tol)
+
+
+ORACLES = ["gamma0", "filter", "mlmt"]
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(oracle, tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        oracle_call(oracle, tol)
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_hopeless_tolerance_stops_at_the_panel_bound(oracle, monkeypatch):
+    # every panel stays unconverged at 1e-300, so each round doubles them;
+    # without a panel bound memory ran out (over 2 GB) before the round limit
+    panels = []
+    estimates = quadrature._panel_estimates
+    monkeypatch.setattr(quadrature, "_panel_estimates",
+                        lambda f, lo, hi: panels.append(len(lo))
+                        or estimates(f, lo, hi))
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="did not converge"):
+            oracle_call(oracle, 1e-300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(panels) <= quadrature._MAX_PANELS < 2 * max(panels)
+    assert len(panels) < quadrature._MAX_ROUNDS
+    assert peak < 32 * 2 ** 20

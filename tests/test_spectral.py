@@ -1,5 +1,6 @@
 """Free dephasing exponent: closed form, derivative, quadrature oracle."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dephasing_pdd
+from dephasing_pdd import quadrature, spectral
 from dephasing_pdd.errors import QuadratureError
 from dephasing_pdd.quadrature import adaptive_panel_quad
-from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
-                                    gamma0_derivative, gamma0_quadrature,
-                                    spectral_density)
+from dephasing_pdd.spectral import (SpectralParams, bath_integral,
+                                    gamma0_analytic, gamma0_derivative,
+                                    gamma0_quadrature, spectral_density)
 
 BATHS = [SpectralParams(0.5, 0.1), SpectralParams(1.0, 0.5),
          SpectralParams(3.0, 0.5), SpectralParams(2.0, 0.3, omega_c=2.0)]
@@ -143,10 +145,46 @@ class TestGamma0Quadrature:
         with pytest.raises(ValueError):
             gamma0_quadrature(BATHS[0], 1.0, tol=0.0)
 
-    def test_divergent_integral_does_not_converge(self):
-        # int_0^1 dx / x diverges: every round bisects the panel at 0
+    def test_divergent_integral_does_not_converge(self, monkeypatch):
+        # int_0^1 dx / x diverges: every round bisects the panel at 0, so
+        # the panels stay few and the round limit ends it
+        rounds = []
+        estimates = quadrature._panel_estimates
+        monkeypatch.setattr(quadrature, "_panel_estimates",
+                            lambda *args: rounds.append(1) or estimates(*args))
         with pytest.raises(QuadratureError, match="did not converge"):
             adaptive_panel_quad(lambda x: 1.0 / x, 0.0, 1.0)
+        assert len(rounds) == quadrature._MAX_ROUNDS
+
+
+class TestBathIntegral:
+    @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+    def test_moment_is_euler_gamma(self, s):
+        # weight x^2 leaves eta * int x^s e^-x dx = eta Gamma(s + 1); the
+        # tail cut at 60 + 5s cutoffs is below 1e-26
+        p = SpectralParams(s, 0.5)
+        got = bath_integral(p, 1.0, lambda x: x * x, tol=1e-13)
+        assert got == pytest.approx(0.5 * math.gamma(s + 1.0), rel=2e-12)
+
+    def test_zero_time_and_zero_coupling_and_negative_time(self):
+        weight = np.ones_like
+        assert bath_integral(BATHS[1], 0.0, weight, 1e-10) == 0.0
+        assert bath_integral(SpectralParams(1.0, 0.0), 5.0, weight,
+                             1e-10) == 0.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            bath_integral(BATHS[1], -1.0, weight, 1e-10)
+
+    def test_underflowing_frequency_takes_the_knee_alone(self, monkeypatch):
+        # w_c t = 1e-300 * 1e-300 underflows to 0: no half-period exists
+        seen = []
+        monkeypatch.setattr(
+            spectral, "adaptive_panel_quad",
+            lambda f, a, b, pts, rel_tol: seen.append(list(pts))
+            or adaptive_panel_quad(f, a, b, pts, rel_tol=rel_tol))
+        p = SpectralParams(1.0, 0.5, omega_c=1e-300)
+        got = bath_integral(p, 1e-300, lambda x: x * x, tol=1e-12)
+        assert seen == [[1.0]]
+        assert got == pytest.approx(0.5, rel=1e-11)
 
 
 class TestRuntimeDependencies:
