@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
-"""Wall time of large-N pulse-number sweeps, each run as a fresh process.
+"""Wall time of large-N pulse-number sweeps and of the pulse-train traces,
+each run as a fresh process, and of building the controlled Gamma.
 
 Times ``python -m dephasing_pdd sweep-n --n-values N --config <cfg>`` for
-the fig1 and fig2 sweep configs at N = 500, 1000 and 2000 (3 processes
-each), plus the fig3 N = 10 trace (7 processes; start-up dominates it),
-with ``time.perf_counter`` around the whole subprocess.  The median,
-range and samples of each case, the SHA-256 of its CSV, the command line
-and the machine go under ``--label`` in BENCH_train_table.json, next to
-the labels already there, so one file holds a before and an after
-measurement of the same machine.
+the fig1 and fig2 sweep configs at N = 500, 1000 and 2000, and fig2 at
+N = 10000 (3 processes each), plus the fig3 N = 10 and the fig3 and fig4
+N = 100 traces (7 processes each; start-up dominates them), with
+``time.perf_counter`` around the whole subprocess.  The median, range and
+samples of each case, the SHA-256 of its CSV, the command line and the
+machine go under ``--label`` in BENCH_lattice_table.json, next to the
+labels already there, so one file holds a before and an after
+measurement of the same machine.  Then it times
+``ControlledDecoherence(free_decoherence(p), pdd_schedule(N, 10))`` at
+N = 10^3 ... 10^6 (s = 1, the best of 3 in one fresh process per N, or
+of fewer once they add up to 10 s); a process that runs past
+``CONSTRUCTION_TIMEOUT_S`` is recorded as timed out.
+BENCH_train_table.json holds the earlier record of this script.
 
 Usage:
     python3 scripts/bench_train_table.py --label after
@@ -28,12 +35,29 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SWEEP_CONFIGS = ("fig1_sweep_markovian", "fig2_sweep_nonmarkovian")
-TRACE_CONFIG = "fig3_trace_markovian_n10"
-N_VALUES = (500, 1000, 2000)
+SWEEP_CASES = (("fig1_sweep_markovian", (500, 1000, 2000)),
+               ("fig2_sweep_nonmarkovian", (500, 1000, 2000, 10000)))
+TRACE_CONFIGS = ("fig3_trace_markovian_n10", "fig3_trace_markovian_n100",
+                 "fig4_trace_nonmarkovian_n100")
 REPEATS = 3
 TRACE_REPEATS = 7
-OUT = REPO / "BENCH_train_table.json"
+CONSTRUCTION_NS = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
+CONSTRUCTION_TIMEOUT_S = 300
+CONSTRUCTION_CODE = """
+import time
+from dephasing_pdd.pulses import (ControlledDecoherence, free_decoherence,
+                                  pdd_schedule)
+from dephasing_pdd.spectral import SpectralParams
+base = free_decoherence(SpectralParams(1.0, 0.5))
+schedule = pdd_schedule({n}, 10.0)
+walls = []
+while len(walls) < 3 and sum(walls) < 10.0:
+    start = time.perf_counter()
+    ControlledDecoherence(base, schedule)
+    walls.append(time.perf_counter() - start)
+print(min(walls))
+"""
+OUT = REPO / "BENCH_lattice_table.json"
 
 
 def machine():
@@ -50,11 +74,12 @@ def machine():
 
 
 def cases():
-    for name in SWEEP_CONFIGS:
-        for n in N_VALUES:
+    for name, n_values in SWEEP_CASES:
+        for n in n_values:
             yield f"{name}_n{n}", ["sweep-n", "--n-values", str(n),
-                                    "--config", f"configs/{name}.cfg"]
-    yield TRACE_CONFIG, ["trace", "--config", f"configs/{TRACE_CONFIG}.cfg"]
+                                    "--config", f"configs/{name}.cfg"], REPEATS
+    for name in TRACE_CONFIGS:
+        yield name, ["trace", "--config", f"configs/{name}.cfg"], TRACE_REPEATS
 
 
 def time_case(argv, src, repeats):
@@ -73,6 +98,18 @@ def time_case(argv, src, repeats):
             "samples_s": [round(w, 4) for w in walls], "csv_sha256": digest}
 
 
+def time_construction(n, src):
+    """Best construction time at N = n in a fresh process, or a timeout."""
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", CONSTRUCTION_CODE.format(n=n)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, check=True, timeout=CONSTRUCTION_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"timed_out_after_s": CONSTRUCTION_TIMEOUT_S}
+    return {"best_s": float(f"{float(done.stdout):.4g}")}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True,
@@ -81,17 +118,23 @@ def main(argv=None):
                         help="source directory of the package to time")
     args = parser.parse_args(argv)
 
+    src = Path(args.src).resolve()
     results = {}
-    for name, case in cases():
-        repeats = TRACE_REPEATS if name == TRACE_CONFIG else REPEATS
+    for name, case, repeats in cases():
         results[name] = {"command": " ".join(
             ["python3", "-m", "dephasing_pdd", *case, "--out", "OUT.csv"]),
-            **time_case(case, Path(args.src).resolve(), repeats)}
+            **time_case(case, src, repeats)}
         print(f"{name}: median {results[name]['median_s']:.3f} s "
               f"range {results[name]['range_s']}", flush=True)
+    construction = {}
+    for n in CONSTRUCTION_NS:
+        construction[str(n)] = time_construction(n, src)
+        print(f"ControlledDecoherence at N = {n}: {construction[str(n)]}",
+              flush=True)
 
     record = json.loads(OUT.read_text()) if OUT.exists() else {}
-    record[args.label] = {"machine": machine(), "cases": results}
+    record[args.label] = {"machine": machine(), "cases": results,
+                          "construction": construction}
     OUT.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -146,10 +146,14 @@ class Dephasing:
             return lambda t: 2.0 * g1(t)
         return lambda t: g1(t) + g2(t)
 
-    def q_columns(self, t):
+    def q_columns(self, t, x=None):
         """Q(t) for all four protocol tags, keyed by :class:`ProtocolTag`,
-        from one evaluation of Gamma0 and one of the controlled Gamma,
-        each column bit-identical to the ``q_of_t`` of :meth:`functions`.
+        from one evaluation of Gamma0 and one of the controlled Gamma.
+
+        Without ``x`` each column is bit-identical to the ``q_of_t`` of
+        :meth:`functions`; with a trace grid's fractions ``x`` the
+        controlled Gamma of the pulse train's segments comes from one
+        table (:meth:`ControlledDecoherence.on_grid`).
 
         Raises FloatingPointError where an exponent is not finite: it
         overflows, or meets inf - inf or 0 * inf.  Q = 0 from underflow
@@ -157,7 +161,8 @@ class Dephasing:
         with np.errstate(over="ignore", invalid="ignore"):
             free = self.free(t)
             controlled = (None if self.controlled is None
-                          else self.controlled(t))
+                          else self.controlled(t) if x is None
+                          else self.controlled.on_grid(t, x))
             gammas = {tag: self.exponent_sum(tag, lambda _: free,
                                              lambda _: controlled)(t)
                       for tag in ProtocolTag}
@@ -189,9 +194,9 @@ class SignRate:
     """-(dGamma_1/dt + dGamma_2/dt) = (dQ/dt) / Q: a positive multiple of
     dQ/dt with its zeros, all the extrema finder needs, at no Gamma and no
     exp per probe.  A call takes the exact derivative route; ``scan``
-    reads whole segments of an equidistant train off the table of
-    :meth:`ControlledDecoherence.train_derivative` and every other segment
-    off the exact route.  Both combine the qubits' rates by
+    reads whole segments of an equidistant train off the rate table of
+    :meth:`ControlledDecoherence.train_table` and every other segment off
+    the exact route.  Both combine the qubits' rates by
     :meth:`Dephasing.exponent_sum`.
     """
 
@@ -212,7 +217,8 @@ class SignRate:
         out = np.empty(ts.shape)
         exact = np.ones(len(ts), dtype=bool)
         if self._table is not None:
-            rows, dgamma, dgamma0 = self._table.train_derivative(x, a, b)
+            rows, dgamma, dgamma0 = self._table.train_table(
+                self._table.base_derivative, x, a, b, include_static=False)
             # the table's rates, as callables of the fractions x
             out[rows] = -self._sum(lambda _: dgamma0, lambda _: dgamma)(x)
             exact[rows] = False

@@ -11,23 +11,18 @@ n-th and (n+1)-th pulse,
 
     Gamma(t) = Gamma0(t) for t <= tau_1, Gamma_N(t) beyond the last pulse.
 
-The last two sums depend only on the schedule, so they are evaluated once
-per (schedule, bath) pair; each time point then costs O(N) terms, which
-reach Gamma0 in array calls of a few thousand terms, not a Python loop
-over the pulses.  The oracle in the tests is the bath integral
+The last two sums, S_n, depend only on the schedule and are set up once,
+by continuity at each pulse (an O(N) lattice sum on the equidistant
+train).  Each time point then costs O(N) terms, in array calls of a few
+thousand terms.  On the equidistant train one table of Gamma0 or Gamma0'
+over the pulse lattice serves whole segments sampled at common fractions
+(:meth:`ControlledDecoherence.train_table`).  The oracles are the exact
+per-point route for the table and, in the tests, the bath integral
 (:func:`.spectral.bath_integral`) of the pulse-train filter function.
-
-The extrema search needs dGamma/dt only where it samples whole inter-pulse
-segments at common offsets.  On the equidistant train every segment has
-the same width, so one table of Gamma0' over the pulse lattice serves all
-of them at O(N) terms per offset
-(:meth:`ControlledDecoherence.train_derivative`); the exact per-point
-route is its fallback and oracle.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +69,8 @@ def pdd_schedule(n_pulses: int, tau_f: float) -> PulseSchedule:
 class ControlledDecoherence:
     """Gamma(t) evaluator for one (free exponent, schedule) pair.
 
-    ``base`` is the free exponent Gamma0 as a vectorized callable of time.
-    The schedule-only partial sums are computed at construction; the
-    train spacing behind :meth:`train_derivative` is cached on first use,
-    so the instance is not read-only (racing threads compute one value).
+    ``base`` is the free exponent Gamma0 as a vectorized callable of time;
+    the schedule-only sums S_n are set up at construction.
     """
 
     def __init__(self, base, schedule: PulseSchedule, base_derivative=None):
@@ -85,25 +78,22 @@ class ControlledDecoherence:
         self.schedule = schedule
         self.base_derivative = base_derivative
         self._taus = taus = np.asarray(schedule.instants, dtype=float)
-
         n = len(taus)
-        static = np.zeros(n + 1)
-        g_tau = base(taus) if n else np.zeros(0)
-        for j in range(1, n + 1):
-            signs = (-1.0) ** (j + np.arange(1, j) + 1)
-            inner = 4.0 * float(np.dot(signs, base(taus[j - 1] - taus[: j - 1])))
-            static[j] = static[j - 1] + 2.0 * (-1.0) ** (j + 1) * g_tau[j - 1] + inner
-        self._static = static
-
-    @functools.cached_property
-    def _train_spacing(self):
-        """delta when the instants are pdd_schedule's equidistant train
-        tau_j = j delta bit for bit, else None; checked on first use."""
-        taus = self._taus
-        if len(taus) and np.array_equal(
-                taus, taus[0] * np.arange(1, len(taus) + 1)):
-            return float(taus[0])
-        return None
+        # delta if the instants are tau_j = j delta bit for bit
+        self._spacing = (float(taus[0]) if n and (
+            taus == taus[0] * np.arange(1, n + 1)).all() else None)
+        # S_j - S_(j-1) = 2 D(tau_j), D the dynamic part of Gamma_(j-1),
+        # by continuity at tau_j; on the train D(tau_j) = A_j + A_(j-1),
+        # A_j = sum_(m<=j) (-1)^(m+1) Gamma0(tau_m)
+        if self._spacing is not None:
+            dynamic = np.array(base(taus), dtype=float)
+            dynamic[1::2] *= -1.0
+            dynamic = dynamic.cumsum()
+            dynamic[1:] += dynamic[:-1]
+        else:
+            dynamic = (self._evaluate(base, taus, include_static=False)
+                       if n else taus)
+        self._static = np.concatenate(([0.0], (2.0 * dynamic).cumsum()))
 
     def _evaluate(self, fn, t, include_static):
         tt = np.asarray(t, dtype=float)
@@ -143,26 +133,21 @@ class ControlledDecoherence:
             raise ValueError("no base derivative supplied")
         return self._evaluate(self.base_derivative, t, include_static=False)
 
-    def train_derivative(self, x, a, b):
-        """(rows, dGamma/dt, dGamma0/dt) on whole segments of the
-        equidistant train tau_j = j delta from one table.
+    def train_table(self, fn, x, a, b, include_static):
+        """(rows, values, fn values) on whole segments of the equidistant
+        train tau_j = j delta from one table: Gamma for ``fn`` = Gamma0
+        with ``include_static``, dGamma/dt for Gamma0' without.
 
-        ``rows`` indexes the segments (a[r], b[r]) that are train segments
-        [tau_n, tau_{n+1}], n < N (tau_0 = 0), read off the layout, never
-        off sample times; it is empty when the instants are not j delta,
-        so any other schedule stays on :meth:`derivative`.  Row i of each
-        rate holds its one-sided values inside segment rows[i] at
-        t = tau_n + x delta, for fractions x in [0, 1].  With u = x delta,
-        k = n - j,
-
-            dGamma_n/dt = (-1)^n Gamma0'(u + n delta)
-                          + 2 sum_{k<n} (-1)^k Gamma0'(u + k delta),
-
-        so one table Gamma0'(u + k delta) and its alternating cumulative
-        sum serve every segment at O(N) terms per offset, where
-        :meth:`derivative`, the oracle, takes O(N) per point.
+        ``rows`` indexes the segments (a[r], b[r]) that are [tau_n,
+        tau_(n+1)], n < N (tau_0 = 0), read off the layout, never off
+        sample times; it is empty off the train.  Row i holds one-sided
+        values inside segment rows[i] at t = tau_n + x delta; with
+        u = x delta, Gamma_n(tau_n + u) = (-1)^n Gamma0(u + n delta)
+        + 2 sum_(k<n) (-1)^k Gamma0(u + k delta) + S_n, so one table
+        fn(u + k delta) and its alternating cumulative sum serve every
+        segment at O(N) terms per fraction.
         """
-        delta = self._train_spacing
+        delta = self._spacing
         if delta is None:
             empty = np.zeros((0, len(x)))
             return np.zeros(0, dtype=int), empty, empty
@@ -172,14 +157,30 @@ class ControlledDecoherence:
         rows = np.flatnonzero((taus[n] == a) & (taus[n + 1] == b))
         n = n[rows]
         k = np.arange(n.max() + 1 if n.size else 0)
-        table = self.base_derivative(
-            np.asarray(x, dtype=float)[:, None] * delta + delta * k)
+        table = fn(np.asarray(x, dtype=float)[:, None] * delta + delta * k)
         alt = np.where(k % 2, -table, table)
         prefix = np.zeros_like(table)
         np.cumsum(2.0 * alt[:, :-1], axis=1, out=prefix[:, 1:])
-        dgamma0 = table[:, n].T
-        dgamma = np.where(n % 2, -1.0, 1.0)[:, None] * dgamma0 + prefix[:, n].T
-        return rows, dgamma, dgamma0
+        values = (alt + prefix)[:, n].T
+        if include_static:
+            values += self._static[n][:, None]
+        return rows, values, table[:, n].T
+
+    def on_grid(self, t, x):
+        """Gamma at ``t``, where t[k p + m] samples segment k at the
+        fractions x[m], p = len(x) - 1, segments end to end as on a trace
+        grid: the train's segments (but t = 0) from :meth:`train_table`,
+        every other point from the exact route."""
+        p = len(x) - 1
+        ends = t[:(len(t) - 1) // p * p + 1:p]
+        rows, values, _ = self.train_table(self.base, x[1:], ends[:-1],
+                                           ends[1:], include_static=True)
+        at = (rows * p)[:, None] + np.arange(1, p + 1)
+        exact = np.ones(len(t), dtype=bool)
+        exact[at] = False
+        out = np.empty(len(t))
+        out[at], out[exact] = values, self(t[exact])
+        return out
 
 
 def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,

@@ -9,7 +9,9 @@ call, the bytes of ``format(v, ".9g")`` in every cell.
 Each trace and each sweep point builds one
 :class:`~dephasing_pdd.dynamics.Dephasing`, so the controlled Gamma is set
 up once and serves the Q columns, the node values of the total variation
-and the sign-only extrema search.
+and the sign-only extrema search.  A trace's Q columns read the
+controlled Gamma of the pulse train's segments off one table, laid out by
+the fractions at which :func:`time_grid` samples every segment.
 """
 
 from __future__ import annotations
@@ -61,8 +63,10 @@ class Table:
 def time_grid(cfg: ScenarioConfig, instants):
     """Grid over [0, tau_d] with every pulse instant (and tau_f) as a node,
     at least ``points_per_interval`` points per inter-pulse segment and at
-    least ``min_points`` overall; a grid of more than ``_MAX_GRID_POINTS``
-    points is a :class:`ConfigError`, raised before any is made."""
+    least ``min_points`` overall, and the fractions x = linspace(0, 1,
+    p + 1) at which it samples each segment; a grid of more than
+    ``_MAX_GRID_POINTS`` points is a :class:`ConfigError`, raised before
+    any is made."""
     edges = sorted({0.0, cfg.tau_f, cfg.tau_d, *instants})
     segments = list(zip(edges[:-1], edges[1:]))
     ppi = max(cfg.points_per_interval, -(-cfg.min_points // len(segments)))
@@ -73,7 +77,7 @@ def time_grid(cfg: ScenarioConfig, instants):
             f"{_MAX_GRID_POINTS}: lower min_points, points_per_interval or "
             f"n_pulses")
     pieces = [np.linspace(a, b, ppi + 1) for a, b in segments]
-    return np.unique(np.concatenate(pieces))
+    return np.unique(np.concatenate(pieces)), np.linspace(0.0, 1.0, ppi + 1)
 
 
 def _header(kind, cfg: ScenarioConfig, columns):
@@ -118,10 +122,10 @@ def run_trace(cfg: ScenarioConfig):
     schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
     tag = ProtocolTag(cfg.protocol)
     rho0 = cfg.state()
-    ts = time_grid(cfg, schedule.instants)
+    ts, x = time_grid(cfg, schedule.instants)
 
     dephasing = Dephasing(params, schedule)
-    cols = dephasing.q_columns(ts)
+    cols = dephasing.q_columns(ts, x)
     q = cols[tag]
     x_t = XStateSummary.from_state(rho0, q)
     singlet = cfg.initial_state == "singlet"

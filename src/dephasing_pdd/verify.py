@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ScenarioConfig
 from .correlations import XStateSummary, concurrence_wootters, concurrence_x
 from .dynamics import (Attenuation, ControlProtocol, ProtocolTag,
                        TwoQubitState, attenuation_functions, q_factor, singlet,
@@ -20,6 +21,7 @@ from .pulses import (ControlledDecoherence, PulseSchedule,
                      controlled_gamma_quadrature, free_decoherence,
                      pdd_schedule)
 from .qsl import QslInputs, phi0, qslt_ratio, qslt_upper_bound
+from .runner import time_grid
 from .spectral import SpectralParams, gamma0_analytic, gamma0_quadrature
 
 
@@ -92,6 +94,20 @@ def check_continuity(n_schedules=8):
             slope = abs(gamma(tau + 10 * eps) - gamma(tau + eps)) / (9 * eps)
             worst = max(worst, jump / (1e-4 * max(1.0, slope)))
     return CheckResult("pulse_instant_continuity", worst, 1.0)
+
+
+def check_train_table():
+    """Gamma on an N = 100 trace grid, its train segments from the table,
+    against the exact route."""
+    cfg = ScenarioConfig(n_pulses=100, points_per_interval=8, min_points=2)
+    sched = pdd_schedule(cfg.n_pulses, cfg.tau_f)
+    ts, x = time_grid(cfg, sched.instants)
+    worst = 0.0
+    for s in (1.0, 3.0):
+        gamma = ControlledDecoherence(free_decoherence(SpectralParams(s, 0.5)),
+                                      sched)
+        worst = max(worst, np.max(np.abs(gamma.on_grid(ts, x) - gamma(ts))))
+    return CheckResult("train_table", worst, 1e-12)
 
 
 def check_protocol_identities():
@@ -167,6 +183,7 @@ def run_checks():
         check_filter_oracle(),
         check_hand_anchor(),
         check_continuity(),
+        check_train_table(),
         *check_protocol_identities(),
         check_concurrence_oracle(),
         check_qslt_bounds(),

@@ -319,8 +319,8 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == [
             "spectral_oracle", "filter_oracle", "hand_anchor",
-            "pulse_instant_continuity", "protocol_square_identity",
-            "protocol_symmetry", "concurrence_oracle", "qslt_inequalities",
+            "pulse_instant_continuity", "train_table",
+            "protocol_square_identity", "protocol_symmetry", "concurrence_oracle", "qslt_inequalities",
             "baseline_degeneracy"]
         assert all(": PASS (measured " in line for line in lines)
 

@@ -187,7 +187,8 @@ class TestSignRate:
             assert (np.max(np.abs(got - want))
                     <= 1e-12 * np.max(np.abs(want))), tag
         # the table covers exactly the N train segments, not the tail
-        rows, _, _ = dephasing.controlled.train_derivative(x, a, b)
+        rows, _, _ = dephasing.controlled.train_table(
+            dephasing.free_dot, x, a, b, include_static=False)
         assert np.array_equal(rows, np.arange(n))
 
     def test_call_is_a_positive_multiple_of_qdot(self):
@@ -202,15 +203,14 @@ class TestSignRate:
 
     def test_non_equidistant_schedule_never_enters_table(self, monkeypatch):
         calls = []
-        original = ControlledDecoherence.train_derivative
+        original = ControlledDecoherence.train_table
 
-        def counting(self, *args):
-            rows, dgamma, dgamma0 = original(self, *args)
+        def counting(self, *args, **kwargs):
+            rows, dgamma, dgamma0 = original(self, *args, **kwargs)
             calls.append((self.schedule, len(rows)))
             return rows, dgamma, dgamma0
 
-        monkeypatch.setattr(ControlledDecoherence, "train_derivative",
-                            counting)
+        monkeypatch.setattr(ControlledDecoherence, "train_table", counting)
         uneven = pulses.PulseSchedule((1.0, 2.5, 3.0, 7.0), 10.0)
         for sched in (uneven, pdd_schedule(5, 10.0)):
             dephasing = Dephasing(OHMIC, sched)

@@ -2,10 +2,12 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_quadrature import gamma0_mp
 
 from dephasing_pdd import pulses
 from dephasing_pdd.pulses import (ControlledDecoherence, PulseSchedule,
@@ -29,6 +31,36 @@ def per_pulse_reference(gamma, fn, t, include_static):
         mask = n >= j
         out[mask] += 2.0 * (-1.0) ** (j + n[mask]) * fn(tt[mask] - taus[j - 1])
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def static_double_loop(base, taus):
+    """S_0..S_N pair by pair, one array call per pulse: the O(N^2) form
+    of the schedule-only sums, the reference of the continuity rule."""
+    n = len(taus)
+    static = np.zeros(n + 1)
+    g_tau = base(taus) if n else np.zeros(0)
+    for j in range(1, n + 1):
+        signs = (-1.0) ** (j + np.arange(1, j) + 1)
+        inner = 4.0 * float(np.dot(signs, base(taus[j - 1] - taus[: j - 1])))
+        static[j] = static[j - 1] + 2.0 * (-1.0) ** (j + 1) * g_tau[j - 1] + inner
+    return static
+
+
+@mpmath.workdps(40)
+def train_static_mp(s, n, delta):
+    """S_0..S_n on the lattice tau_j = j delta (delta taken exactly), pair
+    by pair: S_j - S_(j-1) = 2 (-1)^(j+1) Gamma0(tau_j)
+    + 4 sum_(k<j) (-1)^(j+k+1) Gamma0(tau_j - tau_k), every Gamma0 value
+    to 40 digits and the pairs summed exactly in units of 2^-200.
+    Returned in those units, as ints."""
+    scale = mpmath.mpf(2) ** 200
+    # (-1)^(j+k+1) Gamma0((j - k) delta) depends on d = j - k alone
+    signed = [0] + [(-1) ** (d + 1) * int(mpmath.nint(
+        gamma0_mp(s, d * mpmath.mpf(delta)) * scale)) for d in range(1, n + 1)]
+    static = [0]
+    for j in range(1, n + 1):
+        static.append(static[-1] + 2 * signed[j] + 4 * sum(signed[1:j]))
+    return static
 
 
 def schedules(max_pulses=8, tau_f=10.0):
@@ -155,6 +187,47 @@ class TestControlledDecoherence:
             fd = (gamma(t + h) - gamma(t - h)) / (2.0 * h)
             assert gamma.derivative(t) == pytest.approx(fd, rel=1e-6,
                                                         abs=1e-9)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [20, 100, 1000])
+    def test_train_static_sums_match_mpmath_pair_sum(self, n, s):
+        # max_n |S_n - reference| of the O(N) lattice sum, and of the
+        # double loop it replaced:
+        #             s = 0.5            s = 1              s = 3
+        #   N = 20    3.2e-14, 2.1e-14   1.2e-15, 6.0e-15   8.5e-15, 3.0e-15
+        #   N = 100   1.9e-13, 2.2e-13   2.1e-14, 7.3e-14   8.6e-14, 2.3e-13
+        #   N = 1000  7.3e-12, 1.7e-11   2.3e-12, 1.4e-11   4.4e-13, 1.8e-11
+        # The lattice reuses each rounded Gamma0(tau_m) with a weight of up
+        # to 4 N, where the loop rounds every pair apart: at N = 20 the
+        # lattice sits at Gamma0's rounding (1.5e-14 and 3.2e-15 even for
+        # correctly rounded values at s = 0.5 and 3); from N = 100 on the
+        # loop's accumulation dominates.  The instants are j delta rounded,
+        # which moves the exact sums by at most 1.4e-15 at N <= 100.
+        sched = pdd_schedule(n, 10.0)
+        taus = np.asarray(sched.instants)
+        base = free_decoherence(SpectralParams(s, 0.5))
+        reference = train_static_mp(s, n, taus[0])
+
+        def error(static):
+            return max(abs(int(x * 2.0 ** 200) - r)
+                       for x, r in zip(static, reference)) / 2.0 ** 200
+
+        lattice = error(ControlledDecoherence(base, sched)._static)
+        # every Gamma0(tau_m) off by one ulp, each weighted 4 N
+        assert lattice <= 4 * n * np.finfo(float).eps * base(taus).sum()
+        if n >= 100:
+            assert lattice <= error(static_double_loop(base, taus))
+
+    @settings(max_examples=25, deadline=None)
+    @given(instants=schedules(), s=st.sampled_from([0.5, 1.0, 3.0]))
+    def test_static_sums_off_the_train_match_double_loop(self, instants, s):
+        # the continuity rule sums the loop's pair terms in another order;
+        # at most 8 pulses give at most 36 pairs, each term below 10
+        base = free_decoherence(SpectralParams(s, 0.5))
+        gamma = ControlledDecoherence(base, PulseSchedule(instants, 10.0))
+        assert np.allclose(gamma._static,
+                           static_double_loop(base, np.asarray(instants)),
+                           rtol=0.0, atol=1e-13)
 
     @settings(max_examples=25, deadline=None)
     @given(instants=schedules())

@@ -45,13 +45,13 @@ class TestTimeGrid:
     def test_contains_pulse_instants_and_edges(self):
         cfg = small_cfg()
         instants = pdd_schedule(cfg.n_pulses, cfg.tau_f).instants
-        ts = time_grid(cfg, instants)
+        ts, _ = time_grid(cfg, instants)
         for edge in (0.0, cfg.tau_f, cfg.tau_d, *instants):
             assert np.min(np.abs(ts - edge)) == 0.0
 
     def test_respects_min_points(self):
         cfg = small_cfg(min_points=500)
-        ts = time_grid(cfg, pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
+        ts, _ = time_grid(cfg, pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
         assert len(ts) >= 500
         assert np.all(np.diff(ts) > 0)
 
@@ -200,6 +200,55 @@ class TestControlledBuilds:
         assert len(builds) == 1
 
 
+class TestTrainTable:
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        calls = []
+        original = ControlledDecoherence.train_table
+
+        def recording(self, fn, x, a, b, include_static):
+            calls.append(include_static)
+            return original(self, fn, x, a, b, include_static)
+
+        monkeypatch.setattr(ControlledDecoherence, "train_table", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", ["fig3_trace_markovian_n100",
+                                      "fig4_trace_nonmarkovian_n100"])
+    def test_table_gamma_matches_exact_route_on_trace_grid(self, name):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
+        ts, x = time_grid(cfg, schedule.instants)
+        p = len(x) - 1
+        dephasing = Dephasing(SpectralParams(cfg.s, cfg.eta, cfg.omega_c),
+                              schedule)
+        gamma = dephasing.controlled
+        rows, values, base_values = gamma.train_table(
+            gamma.base, x, ts[:-1:p], ts[p::p], include_static=True)
+        # every train segment, not [tau_N, tau_f] or the tail
+        assert np.array_equal(rows, np.arange(cfg.n_pulses))
+        at = (rows * p)[:, None] + np.arange(p + 1)
+        assert np.max(np.abs(values - gamma(ts[at]))) <= 1e-13
+        assert np.max(np.abs(base_values - gamma.base(ts[at]))) <= 1e-14
+        # the columns put each table value at its own grid time
+        table, exact = dephasing.q_columns(ts, x), dephasing.q_columns(ts)
+        for tag in ProtocolTag:
+            assert np.allclose(table[tag], exact[tag], rtol=1e-13, atol=0.0)
+        assert np.array_equal(table[ProtocolTag.Q00], exact[ProtocolTag.Q00])
+
+    def test_q00_trace_builds_no_rate_table_unpulsed_none(self, tables):
+        # a Q00 trace prints Q10 and Q11 too, so its columns take the
+        # Gamma table; its extrema search takes no rate
+        run_trace(small_cfg(protocol="Q00"))
+        assert tables == [True]
+        tables.clear()
+        run_trace(small_cfg(protocol="Q11"))
+        assert tables[0] and len(tables) > 1 and not any(tables[1:])
+        tables.clear()
+        run_trace(small_cfg(n_pulses=0))
+        assert tables == []
+
+
 def reference_lines(table):
     """Row-by-row rendering: ``format(v, ".9g")`` of each float cell, the
     string itself in a string column, "" where the cell is not live."""
@@ -329,7 +378,7 @@ class TestQsltCellsMatchScalarApi:
     def test_trace_rows(self, name, protocol):
         cfg = replace(load_config(CONFIGS / f"{name}.cfg"), protocol=protocol)
         rows = csv_rows(*run_trace(cfg))
-        ts = time_grid(cfg, pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
+        ts, _ = time_grid(cfg, pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
         pick = slice(97, None, 97)
         self.assert_close([r[-2:] for r in data_rows(rows)[pick]], ts[pick],
                           *self.scalar_api(cfg))
