@@ -1,0 +1,315 @@
+#!/usr/bin/env python3
+"""Before/after timings of the figure commands, the controlled Gamma and the
+quadrature oracles, in pairs of fresh processes.
+
+Each run is a fresh process with PYTHONPATH set to one source tree.  With
+``--src OTHER/src`` every case runs as pairs, the ``--src`` tree first on
+odd pairs and this checkout first on even pairs, so a drift of the host's
+speed falls on both sides alike; without it only this checkout is timed.
+For each side the record holds the samples, median and quartiles, and the
+CSV digests; with two sides also the share of pairs each wins (a tie counts
+for neither).  It names the machine, this checkout's commit and whether its
+tree is dirty, and the ``--src`` path as given, and goes to a new
+BENCH_<label>.json: a label that is not a plain name, or whose file exists,
+is refused before anything runs.
+
+Usage:
+    python3 scripts/bench.py --label NAME [--src OTHER/src]
+"""
+
+import argparse
+import functools
+import hashlib
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import mpmath
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+PAIRS = 10
+SWEEP_CASES = (("fig1_sweep_markovian", (500, 1000, 2000)),
+               ("fig2_sweep_nonmarkovian", (500, 1000, 2000, 10000)))
+CONSTRUCTION_NS = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
+CONSTRUCTION_TIMEOUT_S = 300
+WORKER = (f"import sys; sys.path.append({str(REPO / 'scripts')!r}); "
+          "import bench, json; print(json.dumps(bench.{}))")
+ORACLE_REPEATS = {"gamma0": 5, "filter": 5, "mlmt": 5, "filter_n1000": 3}
+ETA = 0.5
+TAU_F = 10.0
+S_VALUES = (1.0, 3.0)
+N1000_T = 9.99
+
+
+def wins(mine, theirs):
+    """Pairs in which mine took less time; a tie counts for neither side."""
+    return sum(a < b for a, b in zip(mine, theirs))
+
+
+def run(argv, src, timeout=None):
+    """(wall s, stdout, SHA-256 of what it wrote to OUT or None) of one fresh
+    process ``python3 *argv`` with PYTHONPATH=src, or None past timeout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cmd = [sys.executable, *(str(out) if a == "OUT" else a for a in argv)]
+        start = time.perf_counter()
+        try:
+            done = subprocess.run(cmd, cwd=REPO, stdout=subprocess.PIPE,
+                                  text=True, check=True, timeout=timeout,
+                                  env=dict(os.environ, PYTHONPATH=str(src)))
+        except subprocess.TimeoutExpired:
+            return None
+        wall = time.perf_counter() - start
+        return wall, done.stdout, digest(out) if out.exists() else None
+
+
+def digest(path):
+    if path.is_dir():
+        return hashlib.sha256("".join(
+            f"{p.name} {digest(p)}\n" for p in sorted(path.glob("*.csv"))
+        ).encode()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def measure(argv, srcs, pairs, timeout=None):
+    """{side: [run(...), ...]} over pairs of processes: the --src side first
+    on odd pairs k, this checkout first on even ones; a pair with a timeout
+    is the last one."""
+    runs, sides = {side: [] for side in srcs}, tuple(srcs)
+    for k in range(1, pairs + 1):
+        for side in sides[::-1] if k % 2 else sides:
+            runs[side].append(run(argv, srcs[side], timeout))
+        if any(side_runs[-1] is None for side_runs in runs.values()):
+            break
+    return runs
+
+
+def compare(samples):
+    """{side: samples, median and quartiles (s)}, and with two sides the
+    share of pairs each one wins."""
+    out = {}
+    for side, values in samples.items():
+        out[side] = {"samples_s": [_sig(v) for v in values]}
+        if values:
+            q1, median, q3 = np.percentile(values, [25, 50, 75])
+            out[side].update(median_s=_sig(median),
+                             quartiles_s=[_sig(q1), _sig(q3)])
+    if len(samples) == 2:
+        mine, theirs = samples["checkout"], samples["other"]
+        pairs = min(len(mine), len(theirs))
+        out["checkout_wins"] = f"{wins(mine, theirs)}/{pairs}"
+        out["other_wins"] = f"{wins(theirs, mine)}/{pairs}"
+    return out
+
+
+def _sig(x):
+    return float(f"{x:.4g}")
+
+
+def cli_cases():
+    """(name, argv) of every timed command line; OUT stands for the path
+    it writes."""
+    from generate_figure_data import runs
+
+    def cli(name, *args):
+        return name, ["-m", "dephasing_pdd", *args, "--out", "OUT"]
+
+    for cfg, verb, extra, _ in runs(Path()):
+        if not extra:
+            yield cli(cfg.stem, verb, "--config", f"configs/{cfg.name}")
+    yield ("generate_figure_data",
+           ["scripts/generate_figure_data.py", "--out-dir", "OUT"])
+    for name, n_values in SWEEP_CASES:
+        for n in n_values:
+            yield cli(f"{name}_n{n}", "sweep-n", "--n-values", str(n),
+                      "--config", f"configs/{name}.cfg")
+
+
+def oracle_calls(dp):
+    """{group: [zero-argument call, ...]}, like perfbench's oracle items."""
+    out = {group: [] for group in ORACLE_REPEATS}
+    for s in S_VALUES:
+        p = dp.spectral.SpectralParams(s, ETA)
+        for t in (3.7, 24.3):
+            out["gamma0"].append(functools.partial(
+                dp.spectral.gamma0_quadrature, p, t, tol=1e-9))
+        for n in (2, 5, 10, 20):
+            sched = dp.pulses.pdd_schedule(n, TAU_F)
+            for t in (4.3, 12.7):
+                out["filter"].append(functools.partial(
+                    dp.pulses.controlled_gamma_quadrature, p, sched, t,
+                    tol=1e-8))
+        for tag, n in (("Q10", 5), ("Q11", 2)):
+            sched = dp.pulses.pdd_schedule(n, TAU_F)
+            q_of_t, qdot_of_t = dp.dynamics.attenuation_functions(
+                dp.dynamics.ControlProtocol(dp.dynamics.ProtocolTag(tag),
+                                            sched), p)
+            out["mlmt"].append(functools.partial(
+                dp.qsl.qslt_general, dp.dynamics.singlet(), q_of_t,
+                qdot_of_t, 5.5, breakpoints=sched.instants, rel_tol=1e-9))
+        out["filter_n1000"].append(functools.partial(
+            dp.pulses.controlled_gamma_quadrature, p,
+            dp.pulses.pdd_schedule(1000, TAU_F), N1000_T))
+    return out
+
+
+def construction(n):
+    """Best time of building the controlled Gamma at N = n (s = 1), of 3
+    or of fewer once they add up to 10 s."""
+    from dephasing_pdd import (ControlledDecoherence, SpectralParams,
+                               free_decoherence, pdd_schedule)
+    base = free_decoherence(SpectralParams(1.0, ETA))
+    schedule, walls = pdd_schedule(n, TAU_F), []
+    while len(walls) < 3 and sum(walls) < 10.0:
+        start = time.perf_counter()
+        ControlledDecoherence(base, schedule)
+        walls.append(time.perf_counter() - start)
+    return min(walls)
+
+
+def oracle_report():
+    """{group: time per call (median of the repeats), values, integrand
+    points and rounds per call} for the package on sys.path; the counting
+    pass wraps quadrature._panel_estimates and is the warm-up."""
+    import dephasing_pdd as dp
+    quad, estimates = dp.quadrature, dp.quadrature._panel_estimates
+
+    def counted(f, lo_edges, hi_edges):
+        def integrand(x):
+            tally["points"] += np.size(x)
+            return f(x)
+        tally["rounds"] += 1
+        return estimates(integrand, lo_edges, hi_edges)
+
+    report = {}
+    for group, calls in oracle_calls(dp).items():
+        tally = {"points": 0, "rounds": 0}
+        quad._panel_estimates = counted
+        try:
+            values = [float(call()) for call in calls]
+        finally:
+            quad._panel_estimates = estimates
+        walls = []
+        for _ in range(ORACLE_REPEATS[group]):
+            start = time.perf_counter()
+            for call in calls:
+                call()
+            walls.append((time.perf_counter() - start) / len(calls))
+        report[group] = {"time_per_call_s": float(np.median(walls)),
+                         "values": values, **{key: value / len(calls)
+                                              for key, value in tally.items()}}
+    return report
+
+
+@mpmath.workdps(40)
+def controlled_gamma_mp(s, instants, t):
+    """Gamma(t) = -sum_{a<b} c_a c_b Gamma0(t_b - t_a) over the points 0,
+    the float instants before t, and t (weights 1, 2(-1)^j, (-1)^(n+1))."""
+    n = sum(x < t for x in instants)
+    pts = [mpmath.mpf(x) for x in (0.0, *instants[:n], t)]
+    c = [1, *(2 * (-1) ** j for j in range(1, n + 1)), (-1) ** (n + 1)]
+    a = mpmath.mpf(s) - 1
+    scale = ETA * mpmath.gamma(a) if s != 1.0 else ETA / 2
+
+    def gamma0(u):
+        if s == 1.0:
+            return mpmath.log1p(u * u)
+        return 1 - mpmath.cos(a * mpmath.atan(u)) * (1 + u * u) ** (-a / 2)
+
+    return -scale * mpmath.fsum(c[i] * c[j] * gamma0(pts[j] - pts[i])
+                                for j in range(len(pts)) for i in range(j))
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=REPO, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def machine():
+    cpu = next((line.split(":", 1)[1].strip()
+                for line in Path("/proc/cpuinfo").read_text().splitlines()
+                if line.startswith("model name")), platform.processor())
+    return {"cpu": cpu, "cores": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True,
+                        help="names the new record BENCH_<label>.json")
+    parser.add_argument("--src", help="source directory of the other tree, "
+                        "timed in pairs against this checkout's src")
+    args = parser.parse_args(argv)
+    if not re.fullmatch(r"[A-Za-z0-9_-]+", args.label):
+        parser.error(f"--label {args.label!r} is not a plain name "
+                     "([A-Za-z0-9_-]+)")
+    out = REPO / f"BENCH_{args.label}.json"
+    if out.exists():
+        parser.error(f"{out.name} exists; a record is never overwritten")
+    srcs = {"checkout": REPO / "src"}
+    sides = {"checkout": {"src": "src", "commit": git("rev-parse", "HEAD"),
+                          "dirty": bool(git("status", "--porcelain"))}}
+    if args.src is not None:
+        srcs["other"] = Path(args.src).resolve()
+        if not (srcs["other"] / "dephasing_pdd").is_dir():
+            parser.error(f"--src {args.src} holds no dephasing_pdd package")
+        sides["other"] = {"src": args.src}
+    sys.path.insert(0, str(REPO / "src"))
+
+    record = {"sides": sides, "machine": machine(), "pairs": PAIRS,
+              "cases": {}, "construction": {}, "oracles": {}}
+    for name, case in cli_cases():
+        runs = measure(case, srcs, PAIRS)
+        result = record["cases"][name] = {
+            "command": " ".join(["python3", *case]),
+            **compare({side: [r[0] for r in side_runs]
+                       for side, side_runs in runs.items()})}
+        for side, side_runs in runs.items():
+            result[side]["csv_sha256"] = side_runs[-1][2]
+        print(name, result, flush=True)
+
+    for n in CONSTRUCTION_NS:
+        runs = measure(["-c", WORKER.format(f"construction({n})")], srcs,
+                       PAIRS, timeout=CONSTRUCTION_TIMEOUT_S)
+        result = record["construction"][str(n)] = compare(
+            {side: [float(r[1]) for r in side_runs if r]
+             for side, side_runs in runs.items()})
+        for side, side_runs in runs.items():
+            if None in side_runs:
+                result[side]["timed_out_after_s"] = CONSTRUCTION_TIMEOUT_S
+        print(f"construction at N = {n}", result, flush=True)
+
+    reports = {side: [json.loads(r[1]) for r in side_runs] for side, side_runs
+               in measure(["-c", WORKER.format("oracle_report()")], srcs,
+                          PAIRS).items()}
+    for group in ORACLE_REPEATS:
+        result = record["oracles"][group] = compare(
+            {side: [r[group]["time_per_call_s"] for r in reps]
+             for side, reps in reports.items()})
+        for side, reps in reports.items():
+            result[side].update(points=reps[0][group]["points"],
+                                rounds=reps[0][group]["rounds"])
+    from dephasing_pdd import pdd_schedule
+    reference = [controlled_gamma_mp(s, pdd_schedule(1000, TAU_F).instants,
+                                     N1000_T) for s in S_VALUES]
+    for side, reps in reports.items():
+        record["oracles"]["filter_n1000"][side]["mpmath_rel_err"] = {
+            f"s={s:g}": float(abs((value - ref) / ref)) for s, value, ref
+            in zip(S_VALUES, reps[0]["filter_n1000"]["values"], reference)}
+    print("oracles", record["oracles"], flush=True)
+
+    with out.open("x") as fh:
+        fh.write(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,82 @@
+"""The pairing, win count, label refusal and case list of scripts/bench.py.
+
+No test here starts a process: ``bench.run`` is replaced by a stub, and a
+refused label must exit before ``subprocess.run`` is reached.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+SCRIPTS = HERE.parent / "scripts"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench",
+                                                  SCRIPTS / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a test started a process")
+
+    monkeypatch.setattr(module.subprocess, "run", no_process)
+    return module
+
+
+def test_pairs_alternate_with_the_src_side_first(bench, monkeypatch):
+    order = []
+
+    def run(argv, src, timeout=None):
+        order.append(src)
+        return 1.0, "", None
+
+    monkeypatch.setattr(bench, "run", run)
+    runs = bench.measure(["-c", "pass"], {"checkout": "here", "other": "src"},
+                         4)
+    assert order == ["src", "here", "here", "src", "src", "here", "here",
+                     "src"]
+    assert {side: len(side_runs) for side, side_runs in runs.items()} == {
+        "checkout": 4, "other": 4}
+
+
+def test_a_timeout_ends_the_case_after_its_pair(bench, monkeypatch):
+    results = iter([(1.0, "", None), None, (1.0, "", None)])
+    monkeypatch.setattr(bench, "run",
+                        lambda argv, src, timeout=None: next(results))
+    runs = bench.measure(["-c", "pass"], {"checkout": "here", "other": "src"},
+                         10, timeout=1)
+    assert runs == {"checkout": [None], "other": [(1.0, "", None)]}
+
+
+def test_a_tie_is_a_win_for_neither_side(bench):
+    checkout, other = [1.0, 2.0, 3.0], [1.0, 2.5, 2.0]
+    assert bench.wins(checkout, other) == 1
+    assert bench.wins(other, checkout) == 1
+    record = bench.compare({"checkout": checkout, "other": other})
+    assert (record["checkout_wins"], record["other_wins"]) == ("1/3", "1/3")
+    assert record["checkout"]["median_s"] == 2.0
+
+
+@pytest.mark.parametrize("label", ["quadrature", "../x", "a b", ""])
+def test_a_taken_or_unplain_label_is_refused_before_any_process(bench, label):
+    record = HERE.parent / "BENCH_quadrature.json"
+    before = record.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--label", label])
+    assert exit_info.value.code != 0
+    assert record.read_bytes() == before
+
+
+def test_the_cases_hold_every_config(bench, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    cases = dict(bench.cli_cases())
+    for cfg in (HERE.parent / "configs").glob("*.cfg"):
+        argv = cases[cfg.stem]
+        assert argv[2] in ("trace", "sweep-n")
+        assert argv[3:] == ["--config", f"configs/{cfg.name}", "--out", "OUT"]
+    assert "generate_figure_data" in cases
+    assert "fig2_sweep_nonmarkovian_n10000" in cases
