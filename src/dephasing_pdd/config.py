@@ -7,6 +7,7 @@ CSV header without ambiguity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -17,8 +18,10 @@ from .dynamics import TwoQubitState, bell_phi_plus, singlet
 from .errors import ConfigError
 
 _PROTOCOLS = ("Q00", "Q10", "Q01", "Q11")
-# the named initial states; "custom" assembles one from the rho entries
-_NAMED_STATES = {"singlet": singlet, "bell_phi_plus": bell_phi_plus}
+# the named initial states, each built once per process (a TwoQubitState
+# is frozen and read-only); "custom" assembles one from the rho entries
+_NAMED_STATES = {"singlet": functools.cache(singlet),
+                 "bell_phi_plus": functools.cache(bell_phi_plus)}
 _STATES = (*_NAMED_STATES, "custom")
 _WINDOWS = ("running", "fixed")
 # 100x the largest sweep timed so far (N = 10,000); bounds the train size

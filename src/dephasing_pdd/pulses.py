@@ -97,7 +97,7 @@ class ControlledDecoherence:
 
     def _evaluate(self, fn, t, include_static):
         tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0):
+        if (tt < 0).any():
             raise ValueError("t must be nonnegative")
         # n pulses strictly before t; t == tau_j stays on the left
         # branch, which Gamma_n continuity makes equivalent

@@ -88,26 +88,28 @@ def _slope(q_of_t, qdot_of_t, ts, a, b):
 
 def _refine(probe, x1, f1, x2, f2, rtol):
     """Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)) on all
-    brackets [x1, x2] at once, one ``probe`` call per round.  Each returns
-    its end of smaller |f| once narrower than 1e-13 + rtol |x| (brentq's)."""
+    brackets [x1, x2] at once, one ``probe(t, k)`` call per round on the
+    open brackets k only.  A closed bracket keeps its place in the arrays
+    and its ends; each returns its end of smaller |f| once narrower than
+    1e-13 + rtol |x| (brentq's)."""
     x3, f3, t = x2, f2, np.full(len(x1), 0.5)
-    k, root = np.arange(len(x1)), np.empty(len(x1))
     for _ in range(_MAX_REFINE_ROUNDS):
-        xm = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+        a1, a2 = np.abs(f1), np.abs(f2)
+        xm = np.where(a1 < a2, x1, x2)
         tol, dx = 1e-13 + rtol * np.abs(xm), np.abs(x2 - x1)
-        done = (dx < tol) | (np.minimum(np.abs(f1), np.abs(f2)) == 0.0)
-        root[k[done]] = xm[done]
-        k, x1, f1, x2, f2, x3, f3, t, tol, dx = (
-            v[~done] for v in (k, x1, f1, x2, f2, x3, f3, t, tol, dx))
+        live = ~((dx < tol) | (np.minimum(a1, a2) == 0.0))
+        k = np.flatnonzero(live)
         if not k.size:
-            return root
-        tl = 0.5 * tol / dx  # no step closer than tol / 2 to either end
-        xt = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
-        ft = probe(xt, k)
-        flip = np.sign(ft) != np.sign(f1)
-        x1, x2, x3 = xt, np.where(flip, x1, x2), np.where(flip, x2, x1)
-        f1, f2, f3 = ft, np.where(flip, f1, f2), np.where(flip, f2, f1)
+            return xm
+        # closed brackets, dx = 0 among them, are computed on and masked out
         with np.errstate(divide="ignore", invalid="ignore"):
+            tl = 0.5 * tol / dx  # no step closer than tol / 2 to either end
+            xt = np.where(live, x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1), x1)
+            ft = f1.copy()
+            ft[k] = probe(xt[k], k)
+            flip = live & (np.sign(ft) != np.sign(f1))
+            x1, x2, x3 = xt, np.where(flip, x1, x2), np.where(flip, x2, x1)
+            f1, f2, f3 = ft, np.where(flip, f1, f2), np.where(flip, f2, f1)
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             iqi = (f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1)
                    * f1 / (f3 - f1) * f2 / (f3 - f2))
@@ -125,11 +127,12 @@ def _interleave(even, odd):
 
 def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     """Zeros of dQ/dt inside every segment (a[k], b[k]): one sign scan of
-    all segments at once, 64 intervals per segment, each round halving
-    every interval and probing only the new midpoints, until each
+    all segments at once, each round halving every interval, until each
     segment's count of sign changes repeats; then :func:`_refine` of every
-    bracket at once.  Scan ends are nudged inward, off the wrong side of a
-    pulse instant.
+    bracket at once.  The first probe covers the first two rounds, 128
+    intervals per segment, with the 64-interval counts read off its even
+    columns; each later round probes only the new midpoints.  Scan ends
+    are nudged inward, off the wrong side of a pulse instant.
 
     Only the signs and zeros of ``qdot_of_t`` matter, so any positive
     multiple of dQ/dt serves, and the refinement steps on its values
@@ -152,13 +155,16 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     ts = np.linspace(a, b, _SCAN_POINTS + 1, axis=-1)
     ts[:, 0] = np.nextafter(a, b)
     ts[:, -1] = np.nextafter(b, a)
-    slope, counts = probe(ts, x[0]), None
+    ts, x = (_interleave(v, 0.5 * (v[:, :-1] + v[:, 1:])) for v in (ts, x))
+    slope = probe(ts, x[0])
+    # round 1 counts the 64 intervals on the even columns
+    seen, counts = slope[:, ::2], None
     for rounds in range(1, _MAX_SCAN_ROUNDS + 1):
-        row, col = np.nonzero(slope)
+        row, col = np.nonzero(seen)
         # pair consecutive nonzero samples of a row, so a zero plateau
         # contributes at most one node; a plateau between equal signs
         # hides no extremum that moves the variation
-        flat = np.sign(slope[row, col])
+        flat = np.sign(seen[row, col])
         change = (row[1:] == row[:-1]) & (flat[1:] != flat[:-1])
         new_counts = np.bincount(row[1:][change], minlength=len(a))
         if counts is not None and np.array_equal(new_counts, counts):
@@ -168,9 +174,11 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
                 f"extrema scan over {len(a)} segments did not stabilize "
                 f"within {_MAX_SCAN_ROUNDS} doublings")
         counts = new_counts
-        mid, x_mid = (0.5 * (v[:, :-1] + v[:, 1:]) for v in (ts, x))
-        slope = _interleave(slope, probe(mid, x_mid[0]))
-        ts, x = _interleave(ts, mid), _interleave(x, x_mid)
+        if rounds > 1:
+            mid, x_mid = (0.5 * (v[:, :-1] + v[:, 1:]) for v in (ts, x))
+            slope = _interleave(slope, probe(mid, x_mid[0]))
+            ts, x = _interleave(ts, mid), _interleave(x, x_mid)
+        seen = slope
 
     r, i, j = row[1:][change], col[:-1][change], col[1:][change]
     # a zero plateau yields its middle sample: a bracket closed at once

@@ -67,17 +67,17 @@ def time_grid(cfg: ScenarioConfig, instants):
     p + 1) at which it samples each segment; a grid of more than
     ``_MAX_GRID_POINTS`` points is a :class:`ConfigError`, raised before
     any is made."""
-    edges = sorted({0.0, cfg.tau_f, cfg.tau_d, *instants})
-    segments = list(zip(edges[:-1], edges[1:]))
-    ppi = max(cfg.points_per_interval, -(-cfg.min_points // len(segments)))
-    points = ppi * len(segments) + 1
+    edges = np.array(sorted({0.0, cfg.tau_f, cfg.tau_d, *instants}))
+    segments = len(edges) - 1
+    ppi = max(cfg.points_per_interval, -(-cfg.min_points // segments))
+    points = ppi * segments + 1
     if points > _MAX_GRID_POINTS:
         raise ConfigError(
             f"the time grid would hold {points} points, more than "
             f"{_MAX_GRID_POINTS}: lower min_points, points_per_interval or "
             f"n_pulses")
-    pieces = [np.linspace(a, b, ppi + 1) for a, b in segments]
-    return np.unique(np.concatenate(pieces)), np.linspace(0.0, 1.0, ppi + 1)
+    pieces = np.linspace(edges[:-1], edges[1:], ppi + 1, axis=-1)
+    return np.unique(pieces), np.linspace(0.0, 1.0, ppi + 1)
 
 
 def _header(kind, cfg: ScenarioConfig, columns):

@@ -60,7 +60,7 @@ class SpectralParams:
 
 def _as_nonnegative_array(x, name):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError(f"{name} must be nonnegative")
     return arr
 

@@ -107,8 +107,8 @@ class TestTotalVariation:
         assert np.max(np.abs(roots - np.sort(ref))) <= 1e-12
 
     def test_scan_probes_only_new_midpoints(self):
-        # a scan that stabilizes after two rounds: 65 samples per segment,
-        # then only the 64 new midpoints, then one probe per bracket
+        # a scan that stabilizes after two rounds: one probe of 129
+        # samples per segment covers both, then one probe per bracket
         sizes = []
 
         def qd(t):
@@ -117,9 +117,25 @@ class TestTotalVariation:
 
         edges = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
         roots = _extrema(None, qd, edges[:-1], edges[1:], 0.0)
-        assert sizes[:3] == [4 * 65, 4 * 64, 3]
+        assert sizes[:2] == [4 * 129, 3]
         assert np.sort(roots) == pytest.approx(np.pi * np.arange(1, 4),
                                                abs=1e-12)
+
+    def test_scan_third_round_probes_only_new_midpoints(self):
+        # zeros pi/100 apart outnumber the 64 intervals of a segment, so
+        # the counts first repeat at 256 intervals: that round probes only
+        # the 128 new midpoints per segment
+        sizes = []
+
+        def qd(t):
+            sizes.append(np.size(t))
+            return np.sin(100.0 * np.asarray(t))
+
+        edges = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
+        roots = _extrema(None, qd, edges[:-1], edges[1:], 0.0)
+        assert sizes[:3] == [4 * 129, 4 * 128, 318]
+        assert np.sort(roots) == pytest.approx(
+            np.pi / 100.0 * np.arange(1, 319), abs=1e-12)
 
     def test_unconverged_refinement_raises(self):
         # a sign step is never interpolated, so its bracket of width

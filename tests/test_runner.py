@@ -55,6 +55,23 @@ class TestTimeGrid:
         assert len(ts) >= 500
         assert np.all(np.diff(ts) > 0)
 
+    def test_matches_per_segment_linspace(self):
+        # the one batched linspace is bit-identical to one per segment
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            tau_f = rng.uniform(0.1, 50.0)
+            cfg = small_cfg(n_pulses=int(rng.integers(0, 201)), tau_f=tau_f,
+                            tau_d=tau_f * rng.uniform(1.0, 4.0),
+                            points_per_interval=int(rng.integers(2, 40)),
+                            min_points=2)
+            instants = pdd_schedule(cfg.n_pulses, cfg.tau_f).instants
+            edges = sorted({0.0, cfg.tau_f, cfg.tau_d, *instants})
+            ts, x = time_grid(cfg, instants)
+            ref = np.unique(np.concatenate(
+                [np.linspace(a, b, len(x)) for a, b in zip(edges[:-1],
+                                                           edges[1:])]))
+            assert ts.tobytes() == ref.tobytes()
+
 
 class TestInitialState:
     def test_named_states(self):
@@ -70,6 +87,12 @@ class TestInitialState:
         m = cfg.state().matrix
         assert m[0, 3] == pytest.approx(0.1 + 0.05j)
         assert m[3, 0] == pytest.approx(0.1 - 0.05j)
+
+    def test_named_state_is_built_once_and_read_only(self):
+        state = small_cfg(initial_state="singlet").state()
+        assert small_cfg(initial_state="singlet", s=3.0).state() is state
+        with pytest.raises(ValueError):
+            state.matrix[1, 2] = 0.0
 
 
 class TestRunTrace:
