@@ -41,7 +41,7 @@ CONSTRUCTION_NS = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
 CONSTRUCTION_TIMEOUT_S = 300
 WORKER = (f"import sys; sys.path.append({str(REPO / 'scripts')!r}); "
           "import bench, json; print(json.dumps(bench.{}))")
-ORACLE_REPEATS = {"gamma0": 5, "filter": 5, "mlmt": 5, "filter_n1000": 3}
+ORACLE_REPEATS = {"gamma0": 15, "filter": 15, "mlmt": 15, "filter_n1000": 3}
 ETA = 0.5
 TAU_F = 10.0
 S_VALUES = (1.0, 3.0)

@@ -27,6 +27,13 @@ _PSD_FLOOR = -1e-10
 _X_STATE_ATOL = 1e-12
 
 
+def _is_hermitian(m):
+    """|m - m^H| <= _HERMITICITY_ATOL entrywise; a NaN entry, or an inf
+    that meets its conjugate (inf - inf), fails."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(m - m.conj().T).max() <= _HERMITICITY_ATOL
+
+
 @dataclass(frozen=True)
 class TwoQubitState:
     """Validated 4x4 density matrix, basis |00>, |01>, |10>, |11>."""
@@ -37,7 +44,7 @@ class TwoQubitState:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=_HERMITICITY_ATOL, rtol=0):
+        if not _is_hermitian(m):
             raise ValueError("density matrix is not Hermitian")
         if abs(m.trace().real - 1.0) > TRACE_ATOL or abs(m.trace().imag) > TRACE_ATOL:
             raise ValueError(f"trace must be 1, got {m.trace()}")
@@ -197,15 +204,23 @@ class SignRate:
     reads whole segments of an equidistant train off the rate table of
     :meth:`ControlledDecoherence.train_table` and every other segment off
     the exact route.  Both combine the qubits' rates by
-    :meth:`Dephasing.exponent_sum`.
+    :meth:`Dephasing.exponent_sum`, but for the exact route with one
+    qubit pulsed, which takes both rates from one evaluation of Gamma0'
+    (:meth:`ControlledDecoherence.derivative_plus_base`).
     """
 
     def __init__(self, dephasing: Dephasing, tag: ProtocolTag):
         self._sum = functools.partial(dephasing.exponent_sum, tag)
-        self._rate = self._sum(dephasing.free_dot,
-                               lambda t: dephasing.controlled.derivative(t))
+        controlled = dephasing.controlled
+        if controlled is not None and tag.pulsed.count(True) == 1:
+            # the free qubit's Gamma0'(t) joins the controlled rate's
+            # leading term, so each probe evaluates it once
+            self._rate = controlled.derivative_plus_base
+        else:
+            self._rate = self._sum(dephasing.free_dot,
+                                   lambda t: controlled.derivative(t))
         # Q00 takes no controlled rate, so it reads no table
-        self._table = dephasing.controlled if any(tag.pulsed) else None
+        self._table = controlled if any(tag.pulsed) else None
 
     def __call__(self, t):
         return -self._rate(t)
@@ -261,7 +276,7 @@ def single_qubit_evolve(rho0: np.ndarray, gamma: float) -> np.ndarray:
     m = np.asarray(rho0, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 density matrix")
-    if not np.allclose(m, m.conj().T, atol=_HERMITICITY_ATOL, rtol=0):
+    if not _is_hermitian(m):
         raise ValueError("density matrix is not Hermitian")
     if abs(m.trace() - 1.0) > 1e-10:
         raise ValueError("trace must be 1")

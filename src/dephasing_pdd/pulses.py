@@ -79,6 +79,14 @@ class ControlledDecoherence:
         self.base_derivative = base_derivative
         self._taus = taus = np.asarray(schedule.instants, dtype=float)
         n = len(taus)
+        # (-1)^n leads Gamma_n, (-1)^n + 1 with a free qubit's Gamma0
+        # added; the term of the j-th pulse (j from 0) carries
+        # 2 (-1)^(j+1+n), read at j + n < 2N
+        self._lead = np.ones(n + 1)
+        self._lead[1::2] = -1.0
+        self._lead_plus_base = self._lead + 1.0
+        self._pair_sign = np.full(2 * n, -2.0)
+        self._pair_sign[1::2] = 2.0
         # delta if the instants are tau_j = j delta bit for bit
         self._spacing = (float(taus[0]) if n and (
             taus == taus[0] * np.arange(1, n + 1)).all() else None)
@@ -91,11 +99,13 @@ class ControlledDecoherence:
             dynamic = dynamic.cumsum()
             dynamic[1:] += dynamic[:-1]
         else:
-            dynamic = (self._evaluate(base, taus, include_static=False)
+            dynamic = (self._evaluate(base, taus, self._lead, False)
                        if n else taus)
         self._static = np.concatenate(([0.0], (2.0 * dynamic).cumsum()))
 
-    def _evaluate(self, fn, t, include_static):
+    def _evaluate(self, fn, t, lead, include_static):
+        """lead[n] fn(t) + 2 sum_(j<n) (-1)^(j+1+n) fn(t - tau_j), plus S_n
+        with ``include_static``, n the pulses before t."""
         tt = np.asarray(t, dtype=float)
         if (tt < 0).any():
             raise ValueError("t must be nonnegative")
@@ -114,24 +124,32 @@ class ControlledDecoherence:
             i = np.repeat(np.arange(nb.size), nb)
             j = np.arange(i.size) - (np.cumsum(nb) - nb)[i]
             vals = fn(np.concatenate((tb, tb[i] - self._taus[j])))
-            block = np.where(nb % 2, -1.0, 1.0) * vals[:tb.size]
+            block = lead[nb] * vals[:tb.size]
             if include_static:
                 block = block + self._static[nb]
             # terms 2 (-1)^(j+1+n) fn(t - tau_j), added in pulse order
-            np.add.at(block, i, np.where((j + nb[i]) % 2, 2.0, -2.0)
-                      * vals[tb.size:])
+            np.add.at(block, i, self._pair_sign[j + nb[i]] * vals[tb.size:])
             blocks.append(block)
         out = np.concatenate(blocks)
         return float(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
 
     def __call__(self, t):
-        return self._evaluate(self.base, t, include_static=True)
+        return self._evaluate(self.base, t, self._lead, True)
 
     def derivative(self, t):
         """dGamma/dt between pulses (the schedule-only sums are constant)."""
         if self.base_derivative is None:
             raise ValueError("no base derivative supplied")
-        return self._evaluate(self.base_derivative, t, include_static=False)
+        return self._evaluate(self.base_derivative, t, self._lead, False)
+
+    def derivative_plus_base(self, t):
+        """dGamma/dt + dGamma0/dt, the rates of a pulsed and a free qubit
+        together, with Gamma0' evaluated once per point: it leads with
+        the coefficient (-1)^n + 1."""
+        if self.base_derivative is None:
+            raise ValueError("no base derivative supplied")
+        return self._evaluate(self.base_derivative, t, self._lead_plus_base,
+                              False)
 
     def train_table(self, fn, x, a, b, include_static):
         """(rows, values, fn values) on whole segments of the equidistant

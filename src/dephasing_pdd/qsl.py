@@ -86,36 +86,65 @@ def _slope(q_of_t, qdot_of_t, ts, a, b):
             - np.asarray(q_of_t(s), dtype=float)) / h
 
 
-def _refine(probe, x1, f1, x2, f2, rtol):
+def _refine(probe, x1, f1, x2, f2, t, rtol):
     """Chandrupatla's method (Adv. Eng. Softw. 28, 145 (1997)) on all
     brackets [x1, x2] at once, one ``probe(t, k)`` call per round on the
-    open brackets k only.  A closed bracket keeps its place in the arrays
-    and its ends; each returns its end of smaller |f| once narrower than
-    1e-13 + rtol |x| (brentq's)."""
-    x3, f3, t = x2, f2, np.full(len(x1), 0.5)
-    for _ in range(_MAX_REFINE_ROUNDS):
-        a1, a2 = np.abs(f1), np.abs(f2)
-        xm = np.where(a1 < a2, x1, x2)
-        tol, dx = 1e-13 + rtol * np.abs(xm), np.abs(x2 - x1)
-        live = ~((dx < tol) | (np.minimum(a1, a2) == 0.0))
-        k = np.flatnonzero(live)
-        if not k.size:
-            return xm
-        # closed brackets, dx = 0 among them, are computed on and masked out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tl = 0.5 * tol / dx  # no step closer than tol / 2 to either end
-            xt = np.where(live, x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1), x1)
+    open brackets k only.  The first step of bracket k lands at the
+    fraction t[k] of its width from x1 (the scan's estimate, see
+    :func:`_seed`); every later step is inverse quadratic interpolation
+    where safe, else bisection, and none comes closer than tol / 2 to
+    either end.  A closed bracket keeps its place in the arrays and its
+    ends; each returns its end of smaller |f| once narrower than
+    tol = 1e-13 + rtol |x| (brentq's)."""
+    x3, f3 = x2, f2
+    # closed brackets, dx = 0 among them, are computed on and masked out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_REFINE_ROUNDS):
+            a1, a2 = np.abs(f1), np.abs(f2)
+            xm = np.where(a1 < a2, x1, x2)
+            tol, dx = 1e-13 + rtol * np.abs(xm), np.abs(x2 - x1)
+            live = ~((dx < tol) | (np.minimum(a1, a2) == 0.0))
+            k = np.flatnonzero(live)
+            if not k.size:
+                return xm
+            tl = 0.5 * tol / dx
+            xt = np.where(live, x1 + np.minimum(np.maximum(t, tl), 1.0 - tl)
+                          * (x2 - x1), x1)
             ft = f1.copy()
             ft[k] = probe(xt[k], k)
-            flip = live & (np.sign(ft) != np.sign(f1))
+            flip = (ft < 0) != (f1 < 0)
             x1, x2, x3 = xt, np.where(flip, x1, x2), np.where(flip, x2, x1)
             f1, f2, f3 = ft, np.where(flip, f1, f2), np.where(flip, f2, f1)
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             iqi = (f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1)
                    * f1 / (f3 - f1) * f2 / (f3 - f2))
-        # inverse quadratic interpolation where safe, else bisection
-        t = np.where((phi ** 2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), iqi, 0.5)
+            t = np.where((phi ** 2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                         iqi, 0.5)
     raise QuadratureError(f"extrema did not converge in {_MAX_REFINE_ROUNDS} rounds")
+
+
+def _seed(slope, r, i, j):
+    """First step of each bracket between samples i and j of row r of the
+    scan's ``slope``, as a fraction of the bracket's width from sample i:
+    the zero of the inverse cubic through the slopes at samples i - 1, i,
+    j, j + 1 (nodes -1, 0, 1, 2 sample spacings) where j = i + 1, both
+    neighbours lie in the row and that zero falls inside the bracket;
+    else the secant through samples i and j."""
+    f1, f2 = slope[r, i], slope[r, j]
+    # a cubic that overflows or divides by zero is nan or lands outside
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = f1 / (f1 - f2)  # nan for a plateau's closed bracket
+        k = np.flatnonzero((j == i + 1) & (i > 0) & (j < slope.shape[1] - 1))
+        f0, f3 = slope[r[k], i[k] - 1], slope[r[k], j[k] + 1]
+        f1, f2 = f1[k], f2[k]
+        # Lagrange weights at slope 0 of the nodes -1, 1 and 2 (node 0
+        # adds nothing)
+        cubic = (-f1 * f2 * f3 / ((f1 - f0) * (f2 - f0) * (f3 - f0))
+                 + f0 * f1 * f3 / ((f0 - f2) * (f1 - f2) * (f3 - f2))
+                 + 2.0 * f0 * f1 * f2 / ((f0 - f3) * (f1 - f3) * (f2 - f3)))
+    inside = (cubic > 0.0) & (cubic < 1.0)
+    t[k[inside]] = cubic[inside]
+    return t
 
 
 def _interleave(even, odd):
@@ -129,7 +158,9 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     """Zeros of dQ/dt inside every segment (a[k], b[k]): one sign scan of
     all segments at once, each round halving every interval, until each
     segment's count of sign changes repeats; then :func:`_refine` of every
-    bracket at once.  The first probe covers the first two rounds, 128
+    bracket at once, each bracket's first step read off the scan's
+    samples around it (:func:`_seed`).  The first probe covers the first
+    two rounds, 128
     intervals per segment, with the 64-interval counts read off its even
     columns; each later round probes only the new midpoints.  Scan ends
     are nudged inward, off the wrong side of a pulse instant.
@@ -140,7 +171,8 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     its rates from that, row k of ``ts`` sampling segment k at the
     fractions ``x`` of its width (the equidistant train's table,
     :class:`~dephasing_pdd.dynamics.SignRate`); refinement probes always
-    call ``qdot_of_t`` itself.
+    call ``qdot_of_t`` itself.  Without ``qdot_of_t`` scan and refinement
+    step on forward differences of ``q_of_t`` (:func:`_slope`).
     """
     scan = getattr(qdot_of_t, "scan", None)
 
@@ -184,8 +216,14 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     # a zero plateau yields its middle sample: a bracket closed at once
     plateau = j > i + 1
     i[plateau] = j[plateau] = (i + j)[plateau] // 2
-    return _refine(lambda t, k: _slope(q_of_t, qdot_of_t, t, a[r[k]], b[r[k]]),
-                   ts[r, i], slope[r, i], ts[r, j], slope[r, j],
+    if qdot_of_t is not None:
+        def refine_probe(t, k):
+            return qdot_of_t(t)
+    else:
+        def refine_probe(t, k):
+            return _slope(q_of_t, None, t, a[r[k]], b[r[k]])
+    return _refine(refine_probe, ts[r, i], slope[r, i], ts[r, j],
+                   slope[r, j], _seed(slope, r, i, j),
                    max(rel_tol, 4.0 * np.finfo(float).eps))
 
 

@@ -103,8 +103,11 @@ def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
         nan = np.full(len(ts), np.nan)
         return nan, nan, np.zeros(len(ts), dtype=bool), NO_COHERENCE_FOOTNOTE
     q_of_t, _ = dephasing.functions(tag)
+    schedule = dephasing.schedule
+    # tau_f splits the window too: the last pulse period's brackets are
+    # as narrow as the train's, and both callers evaluate Q there already
     tv = cumulative_total_variation(
-        q_of_t, ts, q, breakpoints=dephasing.schedule.instants,
+        q_of_t, ts, q, breakpoints=(*schedule.instants, schedule.tau_f),
         qdot_of_t=SignRate(dephasing, tag))
     ratio, upper, defined = qslt_cells(pref, q, tv, fixed)
     live = (ts > 0.0) & defined

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephasing_pdd import pulses
+from dephasing_pdd import dynamics, pulses
 from dephasing_pdd.dynamics import (Attenuation, ControlProtocol, Dephasing,
                                     ProtocolTag, SignRate, TwoQubitState,
                                     attenuation_functions, bell_phi_plus,
@@ -50,6 +50,15 @@ class TestTwoQubitState:
         m[0, 1] = 0.5
         with pytest.raises(ValueError, match="Hermitian"):
             TwoQubitState(m)
+
+    def test_rejects_conjugate_infinite_coherences(self):
+        # inf - inf is no agreement between an entry and its conjugate
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 3] = m[3, 0] = np.inf
+        with pytest.raises(ValueError, match="not Hermitian"):
+            TwoQubitState(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            single_qubit_evolve(m[::3, ::3] + np.diag([0.25, 0.25]), 1.0)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -200,6 +209,29 @@ class TestSignRate:
                 q_of_t, qdot_of_t = dephasing.functions(tag)
                 assert np.allclose(SignRate(dephasing, tag)(ts) * q_of_t(ts),
                                    qdot_of_t(ts), rtol=1e-13, atol=0.0)
+
+    def test_one_pulsed_qubit_evaluates_gamma0_rate_once(self, monkeypatch):
+        # the free qubit's Gamma0' is the controlled rate's leading term
+        # at the same t, folded into it; Q11 doubles one controlled rate
+        calls = []
+        original = dynamics.gamma0_derivative
+
+        def counting(p, t):
+            calls.append(t)
+            return original(p, t)
+
+        monkeypatch.setattr(dynamics, "gamma0_derivative", counting)
+        dephasing = Dephasing(OHMIC, pdd_schedule(5, 10.0))
+        ts = np.array([0.5, 2.0, 4.1, 9.0, 12.0])
+        for tag in (ProtocolTag.Q10, ProtocolTag.Q01):
+            calls.clear()
+            got = SignRate(dephasing, tag)(ts)
+            assert len(calls) == 1
+            want = -(dephasing.free_dot(ts)
+                     + dephasing.controlled.derivative(ts))
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert np.array_equal(SignRate(dephasing, ProtocolTag.Q11)(ts),
+                              -2.0 * dephasing.controlled.derivative(ts))
 
     def test_non_equidistant_schedule_never_enters_table(self, monkeypatch):
         calls = []

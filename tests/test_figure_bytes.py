@@ -12,10 +12,21 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from dephasing_pdd.cli import main
 
 HERE = Path(__file__).resolve().parent
 SCRIPT = HERE.parent / "scripts" / "generate_figure_data.py"
 RECORD = json.loads((HERE / "figure_csv_sha256.json").read_text())
+# sweep-n --n-values 1000 of the fig1 and fig2 configs, as recorded in
+# BENCH_sweep_probes.json: large-N rows that no figure CSV holds
+LARGE_N_SHA256 = {
+    "fig1_sweep_markovian":
+        "39df96d1702624bd4d2cedcf1de77ec3d20e374ca10bd59b908eb956ef7a9830",
+    "fig2_sweep_nonmarkovian":
+        "e652cc1ac6ff41a4cbea48f9456cf6d4e7c6a46e5f7e571ff4a1c105d9c4e43c",
+}
 
 
 def test_figure_csvs_keep_their_bytes(tmp_path):
@@ -32,3 +43,12 @@ def test_figure_csvs_keep_their_bytes(tmp_path):
     assert not changed, (
         f"figure CSV bytes changed: {', '.join(changed)} (digests recorded "
         f"with numpy {RECORD['numpy']}, this run uses numpy {np.__version__})")
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_N_SHA256))
+def test_large_n_sweep_keeps_its_bytes(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep-n", "--n-values", "1000", "--config",
+                 str(HERE.parent / "configs" / f"{name}.cfg"),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_N_SHA256[name]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dephasing_pdd import runner
+from dephasing_pdd import qsl, runner
 from dephasing_pdd.config import ScenarioConfig, load_config
 from dephasing_pdd.correlations import concurrence_wootters
 from dephasing_pdd.dynamics import (Attenuation, Dephasing, ProtocolTag,
@@ -221,6 +221,34 @@ class TestControlledBuilds:
     def test_one_controlled_gamma_per_trace(self, builds):
         run_trace(small_cfg(protocol="Q10"))
         assert len(builds) == 1
+
+
+def test_refinement_probes_two_points_per_bracket(monkeypatch):
+    # each extremum's first step comes from the scan's samples around it,
+    # so a fig2 sweep point at N = 1000 refines its 1,001 extrema with
+    # about two probe points each (bisection first: 3.17); refinement
+    # probes reach SignRate.__call__ as 1-d arrays, the scan's as rows
+    tally = {"points": 0, "brackets": 0}
+    call, extrema = SignRate.__call__, qsl._extrema
+
+    def counted_call(self, t):
+        if np.ndim(t) == 1:
+            tally["points"] += np.size(t)
+        return call(self, t)
+
+    def counted_extrema(*args):
+        roots = extrema(*args)
+        tally["brackets"] += len(roots)
+        return roots
+
+    monkeypatch.setattr(SignRate, "__call__", counted_call)
+    monkeypatch.setattr(qsl, "_extrema", counted_extrema)
+    cfg = replace(load_config(CONFIGS / "fig2_sweep_nonmarkovian.cfg"),
+                  n_values=(1000,))
+    assert cfg.protocol == "Q11"
+    run_sweep_n(cfg)
+    assert tally["brackets"] >= 1000
+    assert tally["points"] <= 2.5 * tally["brackets"]
 
 
 class TestTrainTable:
