@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Before/after timings of the figure commands, the controlled Gamma and the
-quadrature oracles, in pairs of fresh processes.
+"""Before/after timings of the package import, the figure commands, the
+controlled Gamma and the quadrature oracles, in pairs of fresh processes.
 
 Each run is a fresh process with PYTHONPATH set to one source tree.  With
 ``--src OTHER/src`` every case runs as pairs, the ``--src`` tree first on
@@ -114,13 +114,14 @@ def _sig(x):
 
 
 def cli_cases():
-    """(name, argv) of every timed command line; OUT stands for the path
-    it writes."""
+    """(name, argv) of every timed command line, the bare package import
+    first; OUT stands for the path it writes."""
     from generate_figure_data import runs
 
     def cli(name, *args):
         return name, ["-m", "dephasing_pdd", *args, "--out", "OUT"]
 
+    yield "import", ["-c", "import dephasing_pdd"]
     for cfg, verb, extra, _ in runs(Path()):
         if not extra:
             yield cli(cfg.stem, verb, "--config", f"configs/{cfg.name}")

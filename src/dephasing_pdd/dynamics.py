@@ -121,8 +121,8 @@ class Dephasing:
     The controlled Gamma's schedule sums are set up at most once per
     instance (on first use), so a trace or a sweep point builds one and
     shares it between its Q columns, its trajectory and its extrema
-    search.  The protocol rule lives in :meth:`exponent_sum` and nowhere
-    else.
+    search.  The protocol rule lives in :meth:`pulsed` and
+    :meth:`exponent_sum`, and for rates in :class:`SignRate`'s scale.
     """
 
     def __init__(self, p: SpectralParams, schedule: PulseSchedule | None):
@@ -136,22 +136,26 @@ class Dephasing:
     @functools.cached_property
     def controlled(self):
         """The controlled Gamma, or None for an empty schedule."""
-        if self.schedule is None or not self.schedule.n_pulses:
+        if not self.pulsed(ProtocolTag.Q11):
             return None
         return ControlledDecoherence(self.free, self.schedule, self.free_dot)
 
+    def pulsed(self, tag: ProtocolTag):
+        """How many qubits of ``tag`` take the controlled exponent: its
+        pulsed qubits, or 0 for an empty schedule."""
+        if self.schedule is None or not self.schedule.n_pulses:
+            return 0
+        return tag.pulsed.count(True)
+
     def exponent_sum(self, tag: ProtocolTag, free, controlled):
-        """Gamma_1 + Gamma_2 of ``tag`` as a callable of t, from callables
-        of the free and the controlled exponent (or of their rates).  A
-        pulsed qubit takes ``controlled`` unless the schedule is empty, so
-        ``controlled`` is called only then; an exponent both qubits share
-        is evaluated once and doubled, bit-identical to adding it to
-        itself."""
-        g1, g2 = (controlled if pulsed and self.controlled is not None
-                  else free for pulsed in tag.pulsed)
-        if g1 is g2:
-            return lambda t: 2.0 * g1(t)
-        return lambda t: g1(t) + g2(t)
+        """Gamma_1 + Gamma_2 of ``tag`` from the values of the free and the
+        controlled exponent: 2 free, free + controlled or 2 controlled for
+        0, 1 or 2 :meth:`pulsed` qubits; the value it does not read may be
+        None."""
+        pulsed = self.pulsed(tag)
+        if pulsed == 1:
+            return free + controlled
+        return 2.0 * (controlled if pulsed else free)
 
     def q_columns(self, t, x=None):
         """Q(t) for all four protocol tags, keyed by :class:`ProtocolTag`,
@@ -170,8 +174,7 @@ class Dephasing:
             controlled = (None if self.controlled is None
                           else self.controlled(t) if x is None
                           else self.controlled.on_grid(t, x))
-            gammas = {tag: self.exponent_sum(tag, lambda _: free,
-                                             lambda _: controlled)(t)
+            gammas = {tag: self.exponent_sum(tag, free, controlled)
                       for tag in ProtocolTag}
         for tag, gamma in gammas.items():
             bad = ~np.isfinite(gamma)
@@ -182,17 +185,17 @@ class Dephasing:
         return {tag: np.exp(-gamma) for tag, gamma in gammas.items()}
 
     def functions(self, tag: ProtocolTag):
-        """(Q(t), dQ/dt) as a pair of vectorized callables."""
-        gamma = self.exponent_sum(tag, self.free,
-                                  lambda t: self.controlled(t))
-        gamma_dot = self.exponent_sum(tag, self.free_dot,
-                                      lambda t: self.controlled.derivative(t))
+        """(Q(t), dQ/dt) as a pair of vectorized callables; dQ/dt is
+        :class:`SignRate` times Q."""
+        pulsed, rate = self.pulsed(tag), SignRate(self, tag)
 
         def q_of_t(t):
-            return np.exp(-gamma(t))
+            return np.exp(-self.exponent_sum(
+                tag, self.free(t) if pulsed < 2 else None,
+                self.controlled(t) if pulsed else None))
 
         def qdot_of_t(t):
-            return -gamma_dot(t) * np.exp(-gamma(t))
+            return rate(t) * q_of_t(t)
 
         return q_of_t, qdot_of_t
 
@@ -200,46 +203,34 @@ class Dephasing:
 class SignRate:
     """-(dGamma_1/dt + dGamma_2/dt) = (dQ/dt) / Q: a positive multiple of
     dQ/dt with its zeros, all the extrema finder needs, at no Gamma and no
-    exp per probe.  A call takes the exact derivative route; ``scan``
-    reads whole segments of an equidistant train off the rate table of
-    :meth:`ControlledDecoherence.train_table` and every other segment off
-    the exact route.  Both combine the qubits' rates by
-    :meth:`Dephasing.exponent_sum`, but for the exact route with one
-    qubit pulsed, which takes both rates from one evaluation of Gamma0'
-    (:meth:`ControlledDecoherence.derivative_plus_base`).
+    exp per probe.  It is a scale times one rate: -2 Gamma0', -(Gamma' +
+    Gamma0') or -2 Gamma' for 0, 1 or 2 :meth:`Dephasing.pulsed` qubits,
+    where one pulsed qubit takes both rates from one evaluation of Gamma0'
+    (:meth:`ControlledDecoherence.derivative` with ``plus_base``).  A call
+    takes the exact route; ``scan`` reads the equidistant train's segments
+    off the rate table of :meth:`ControlledDecoherence.on_segments`.
     """
 
     def __init__(self, dephasing: Dephasing, tag: ProtocolTag):
-        self._sum = functools.partial(dephasing.exponent_sum, tag)
-        controlled = dephasing.controlled
-        if controlled is not None and tag.pulsed.count(True) == 1:
-            # the free qubit's Gamma0'(t) joins the controlled rate's
-            # leading term, so each probe evaluates it once
-            self._rate = controlled.derivative_plus_base
-        else:
-            self._rate = self._sum(dephasing.free_dot,
-                                   lambda t: controlled.derivative(t))
-        # Q00 takes no controlled rate, so it reads no table
-        self._table = controlled if any(tag.pulsed) else None
+        pulsed = dephasing.pulsed(tag)
+        self._scale = -1.0 if pulsed == 1 else -2.0
+        self._plus_base = pulsed == 1
+        self._gamma = dephasing.controlled if pulsed else None
+        self._free_dot = dephasing.free_dot
 
     def __call__(self, t):
-        return -self._rate(t)
+        if self._gamma is None:
+            return self._scale * self._free_dot(t)
+        return self._scale * self._gamma.derivative(t, self._plus_base)
 
     def scan(self, ts, x, a, b):
         """Rates at ``ts``, whose row k samples segment (a[k], b[k]) at
         t ~ a[k] + x (b[k] - a[k]) for the fractions ``x`` (ends nudged
         inward)."""
-        out = np.empty(ts.shape)
-        exact = np.ones(len(ts), dtype=bool)
-        if self._table is not None:
-            rows, dgamma, dgamma0 = self._table.train_table(
-                self._table.base_derivative, x, a, b, include_static=False)
-            # the table's rates, as callables of the fractions x
-            out[rows] = -self._sum(lambda _: dgamma0, lambda _: dgamma)(x)
-            exact[rows] = False
-        if exact.any():
-            out[exact] = self(ts[exact])
-        return out
+        if self._gamma is None:
+            return self(ts)
+        return self._scale * self._gamma.on_segments(
+            ts, x, a, b, rate=True, plus_base=self._plus_base)
 
 
 def q_factor(protocol: ControlProtocol, p: SpectralParams, t):

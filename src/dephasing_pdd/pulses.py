@@ -16,7 +16,7 @@ by continuity at each pulse (an O(N) lattice sum on the equidistant
 train).  Each time point then costs O(N) terms, in array calls of a few
 thousand terms.  On the equidistant train one table of Gamma0 or Gamma0'
 over the pulse lattice serves whole segments sampled at common fractions
-(:meth:`ControlledDecoherence.train_table`).  The oracles are the exact
+(:meth:`ControlledDecoherence.on_segments`).  The oracles are the exact
 per-point route for the table and, in the tests, the bath integral
 (:func:`.spectral.bath_integral`) of the pulse-train filter function.
 """
@@ -79,12 +79,10 @@ class ControlledDecoherence:
         self.base_derivative = base_derivative
         self._taus = taus = np.asarray(schedule.instants, dtype=float)
         n = len(taus)
-        # (-1)^n leads Gamma_n, (-1)^n + 1 with a free qubit's Gamma0
-        # added; the term of the j-th pulse (j from 0) carries
+        # (-1)^n leads Gamma_n; the term of the j-th pulse (j from 0) carries
         # 2 (-1)^(j+1+n), read at j + n < 2N
         self._lead = np.ones(n + 1)
         self._lead[1::2] = -1.0
-        self._lead_plus_base = self._lead + 1.0
         self._pair_sign = np.full(2 * n, -2.0)
         self._pair_sign[1::2] = 2.0
         # delta if the instants are tau_j = j delta bit for bit
@@ -136,69 +134,70 @@ class ControlledDecoherence:
     def __call__(self, t):
         return self._evaluate(self.base, t, self._lead, True)
 
-    def derivative(self, t):
-        """dGamma/dt between pulses (the schedule-only sums are constant)."""
+    def derivative(self, t, plus_base=False):
+        """dGamma/dt between pulses (the schedule-only sums are constant).
+        With ``plus_base``, dGamma/dt + dGamma0/dt, the rates of a pulsed
+        and a free qubit together, with Gamma0' evaluated once per point:
+        it leads with the coefficient (-1)^n + 1."""
         if self.base_derivative is None:
             raise ValueError("no base derivative supplied")
-        return self._evaluate(self.base_derivative, t, self._lead, False)
-
-    def derivative_plus_base(self, t):
-        """dGamma/dt + dGamma0/dt, the rates of a pulsed and a free qubit
-        together, with Gamma0' evaluated once per point: it leads with
-        the coefficient (-1)^n + 1."""
-        if self.base_derivative is None:
-            raise ValueError("no base derivative supplied")
-        return self._evaluate(self.base_derivative, t, self._lead_plus_base,
+        return self._evaluate(self.base_derivative, t,
+                              self._lead + 1.0 if plus_base else self._lead,
                               False)
 
-    def train_table(self, fn, x, a, b, include_static):
-        """(rows, values, fn values) on whole segments of the equidistant
-        train tau_j = j delta from one table: Gamma for ``fn`` = Gamma0
-        with ``include_static``, dGamma/dt for Gamma0' without.
+    def on_segments(self, ts, x, a, b, rate=False, plus_base=False):
+        """Gamma, or with ``rate`` dGamma/dt (plus dGamma0/dt with
+        ``plus_base``), at ``ts``, whose row k samples segment (a[k], b[k])
+        at the fractions ``x``.
 
-        ``rows`` indexes the segments (a[r], b[r]) that are [tau_n,
-        tau_(n+1)], n < N (tau_0 = 0), read off the layout, never off
-        sample times; it is empty off the train.  Row i holds one-sided
-        values inside segment rows[i] at t = tau_n + x delta; with
-        u = x delta, Gamma_n(tau_n + u) = (-1)^n Gamma0(u + n delta)
-        + 2 sum_(k<n) (-1)^k Gamma0(u + k delta) + S_n, so one table
-        fn(u + k delta) and its alternating cumulative sum serve every
-        segment at O(N) terms per fraction.
+        Rows that are the equidistant train's segments [tau_n, tau_(n+1)],
+        n < N (tau_0 = 0), read off the layout, never off sample times,
+        come from one table at t = tau_n + x delta: with u = x delta,
+        Gamma_n(tau_n + u) = (-1)^n Gamma0(u + n delta) + 2 sum_(k<n)
+        (-1)^k Gamma0(u + k delta) + S_n, so one table of Gamma0 (or
+        Gamma0') at u + k delta and its alternating cumulative sum serve
+        every segment at O(N) terms per fraction.  Every other row takes
+        the exact route at its ``ts``.
         """
+        out = np.empty(ts.shape)
+        exact = np.ones(len(out), dtype=bool)
         delta = self._spacing
-        if delta is None:
-            empty = np.zeros((0, len(x)))
-            return np.zeros(0, dtype=int), empty, empty
-        taus = np.concatenate(([0.0], self._taus))
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        n = np.minimum(np.searchsorted(taus, a), len(taus) - 2)
-        rows = np.flatnonzero((taus[n] == a) & (taus[n + 1] == b))
-        n = n[rows]
-        k = np.arange(n.max() + 1 if n.size else 0)
-        table = fn(np.asarray(x, dtype=float)[:, None] * delta + delta * k)
-        alt = np.where(k % 2, -table, table)
-        prefix = np.zeros_like(table)
-        np.cumsum(2.0 * alt[:, :-1], axis=1, out=prefix[:, 1:])
-        values = (alt + prefix)[:, n].T
-        if include_static:
-            values += self._static[n][:, None]
-        return rows, values, table[:, n].T
+        if delta is not None:
+            taus = np.concatenate(([0.0], self._taus))
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            n = np.minimum(np.searchsorted(taus, a), len(taus) - 2)
+            rows = np.flatnonzero((taus[n] == a) & (taus[n + 1] == b))
+            n = n[rows]
+            k = np.arange(n.max() + 1 if n.size else 0)
+            fn = self.base_derivative if rate else self.base
+            table = fn(np.asarray(x, dtype=float)[:, None] * delta + delta * k)
+            alt = np.where(k % 2, -table, table)
+            prefix = np.zeros_like(table)
+            np.cumsum(2.0 * alt[:, :-1], axis=1, out=prefix[:, 1:])
+            values = (alt + prefix)[:, n].T
+            if not rate:
+                values += self._static[n][:, None]
+            if plus_base:
+                values += table[:, n].T
+            out[rows], exact[rows] = values, False
+        if exact.any():
+            out[exact] = (self.derivative(ts[exact], plus_base) if rate
+                          else self(ts[exact]))
+        return out
 
     def on_grid(self, t, x):
         """Gamma at ``t``, where t[k p + m] samples segment k at the
         fractions x[m], p = len(x) - 1, segments end to end as on a trace
-        grid: the train's segments (but t = 0) from :meth:`train_table`,
-        every other point from the exact route."""
+        grid: :meth:`on_segments` on the whole segments, a point two
+        segments share taken from the one it ends, and the exact route on
+        any points past them."""
         p = len(x) - 1
-        ends = t[:(len(t) - 1) // p * p + 1:p]
-        rows, values, _ = self.train_table(self.base, x[1:], ends[:-1],
-                                           ends[1:], include_static=True)
-        at = (rows * p)[:, None] + np.arange(1, p + 1)
-        exact = np.ones(len(t), dtype=bool)
-        exact[at] = False
-        out = np.empty(len(t))
-        out[at], out[exact] = values, self(t[exact])
-        return out
+        m = (len(t) - 1) // p * p
+        at = np.arange(0, m, p)[:, None] + np.arange(p + 1)
+        values = self.on_segments(t[at], x, t[at[:, 0]], t[at[:, -1]])
+        out = np.concatenate((values[:1, 0], values[:, 1:].ravel()))
+        rest = t[len(out):]
+        return np.concatenate((out, self(rest))) if rest.size else out
 
 
 def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,

@@ -232,6 +232,8 @@ def _nodes(q_of_t, qdot_of_t, t_start, t_end, breakpoints, rel_tol):
     Q is monotone between consecutive nodes."""
     if np.isnan(rel_tol):  # it would stall the refinement; 0 means 4 eps
         raise ValueError("rel_tol must not be nan")
+    if not np.isfinite([t_start, t_end]).all():  # a nan scan never settles
+        raise ValueError(f"window [{t_start}, {t_end}] must be finite")
     edges = np.array(sorted({t_start, t_end, *(
         x for x in breakpoints if t_start < x < t_end)}), dtype=float)
     if len(edges) < 2:
@@ -346,6 +348,8 @@ def qslt_general(rho0: TwoQubitState, q_of_t, qdot_of_t, tau_d,
     times <|dQ/dt|>, integrated to ``rel_tol`` by adaptive quadrature on
     panels split at the pulse instants and the extrema of Q.
     """
+    if not tau_d > 0:
+        raise ValueError(f"tau_d must be positive, got {tau_d}")
     _, a14, a23 = _coherences(rho0)
     m = rho0.matrix
     rho_eigs = np.sort(np.linalg.eigvalsh(m))[::-1]

@@ -33,8 +33,6 @@ _TAIL_CUTOFFS = 60.0
 _ENVELOPE_KNEE = 1.0  # breakpoint at the exp(-x) envelope's scale
 _MAX_BREAKPOINTS = 4000  # half-period breakpoints, so panel counts stay bounded
 
-_FD_STEP = 1e-6  # relative step of gamma0_derivative(method="fd")
-
 
 @dataclass(frozen=True)
 class SpectralParams:
@@ -116,28 +114,16 @@ def gamma0_analytic(p: SpectralParams, t):
     return _maybe_scalar(out, t)
 
 
-def gamma0_derivative(p: SpectralParams, t, method="analytic"):
-    """Rate dGamma0/dt.
-
-    The analytic route uses
+def gamma0_derivative(p: SpectralParams, t):
+    """Rate dGamma0/dt in closed form,
 
         dGamma0/dt = eta * w_c * Gamma(s) * sin(s arctan(w_c t))
                      / (1 + w_c^2 t^2)^(s/2),
 
     which is pole-free for every s > 0 (it reduces to
-    eta w_c^2 t / (1 + w_c^2 t^2) at s = 1).  ``method="fd"`` instead takes
-    a central difference of :func:`gamma0_analytic` with step
-    ``1e-6 * max(1, t)``.
+    eta w_c^2 t / (1 + w_c^2 t^2) at s = 1).
     """
-    tt = _as_nonnegative_array(t, "t")
-    if method == "fd":
-        h = _FD_STEP * np.maximum(1.0, tt)
-        lo = np.maximum(tt - h, 0.0)
-        out = (gamma0_analytic(p, tt + h) - gamma0_analytic(p, lo)) / (tt + h - lo)
-        return _maybe_scalar(out, t)
-    if method != "analytic":
-        raise ValueError(f"unknown method {method!r}")
-    u = p.omega_c * tt
+    u = p.omega_c * _as_nonnegative_array(t, "t")
     out = (
         p.eta * p.omega_c * _euler_gamma(p.s)
         * np.sin(p.s * np.arctan(u)) * (1.0 + u * u) ** (-p.s / 2.0)

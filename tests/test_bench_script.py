@@ -79,4 +79,5 @@ def test_the_cases_hold_every_config(bench, monkeypatch):
         assert argv[2] in ("trace", "sweep-n")
         assert argv[3:] == ["--config", f"configs/{cfg.name}", "--out", "OUT"]
     assert "generate_figure_data" in cases
+    assert cases["import"] == ["-c", "import dephasing_pdd"]
     assert "fig2_sweep_nonmarkovian_n10000" in cases

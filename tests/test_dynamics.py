@@ -14,7 +14,7 @@ from dephasing_pdd.dynamics import (Attenuation, ControlProtocol, Dephasing,
                                     two_qubit_evolve)
 from dephasing_pdd.pulses import (ControlledDecoherence, free_decoherence,
                                   pdd_schedule)
-from dephasing_pdd.qsl import cumulative_total_variation
+from dephasing_pdd.qsl import cumulative_total_variation, total_variation
 from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
                                     gamma0_derivative)
 from dephasing_pdd.verify import random_x_state
@@ -160,6 +160,13 @@ class TestAttenuationFactors:
         direct = -2.0 * gamma.derivative(ts) * np.exp(-2.0 * gamma(ts))
         assert qdot_of_t(ts) == pytest.approx(direct, abs=1e-15)
 
+    def test_q00_functions_build_no_controlled_gamma(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "ControlledDecoherence", None)
+        q_of_t, qdot_of_t = Dephasing(OHMIC, SCHED).functions(ProtocolTag.Q00)
+        ts = np.linspace(0.0, 15.0, 31)
+        assert np.array_equal(qdot_of_t(ts), -2.0 * gamma0_derivative(
+            OHMIC, ts) * q_of_t(ts))
+
     def test_q_derivative_matches_finite_difference(self):
         for tag in (ProtocolTag.Q10, ProtocolTag.Q11):
             proto = ControlProtocol(tag, SCHED)
@@ -174,7 +181,7 @@ class TestAttenuationFactors:
 class TestSignRate:
     @pytest.mark.parametrize("s", [1.0, 3.0])
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
-    def test_table_matches_exact_derivative(self, n, s):
+    def test_table_matches_exact_derivative(self, n, s, monkeypatch):
         # every train segment at interior and nudged end offsets, plus the
         # free tail past the train, against the protocol rule applied to
         # the exact ControlledDecoherence.derivative, for every tag
@@ -195,10 +202,19 @@ class TestSignRate:
             want = -(per_qubit[tag.pulsed[0]] + per_qubit[tag.pulsed[1]])
             assert (np.max(np.abs(got - want))
                     <= 1e-12 * np.max(np.abs(want))), tag
-        # the table covers exactly the N train segments, not the tail
-        rows, _, _ = dephasing.controlled.train_table(
-            dephasing.free_dot, x, a, b, include_static=False)
-        assert np.array_equal(rows, np.arange(n))
+        # the table covers exactly the N train segments, not the tail:
+        # only the tail's row takes the exact route
+        exact_rows = []
+        derivative = ControlledDecoherence.derivative
+
+        def recording(self, t, *args):
+            exact_rows.append(t)
+            return derivative(self, t, *args)
+
+        monkeypatch.setattr(ControlledDecoherence, "derivative", recording)
+        SignRate(dephasing, ProtocolTag.Q10).scan(ts, x, a, b)
+        assert len(exact_rows) == 1
+        assert np.array_equal(exact_rows[0], ts[n:])
 
     def test_call_is_a_positive_multiple_of_qdot(self):
         ts = np.linspace(0.1, 20.0, 157)
@@ -233,16 +249,44 @@ class TestSignRate:
         assert np.array_equal(SignRate(dephasing, ProtocolTag.Q11)(ts),
                               -2.0 * dephasing.controlled.derivative(ts))
 
+    def test_pulsed_probes_reach_the_one_rate_method(self, monkeypatch):
+        # a refinement probe of every tag with a pulsed qubit, Q10 and
+        # Q01 included, goes through ControlledDecoherence.derivative
+        probes = []
+        derivative = ControlledDecoherence.derivative
+
+        def counting(self, t, *args):
+            if np.ndim(t) == 1:
+                probes.append(np.size(t))
+            return derivative(self, t, *args)
+
+        monkeypatch.setattr(ControlledDecoherence, "derivative", counting)
+        dephasing = Dephasing(OHMIC, SCHED)
+        for tag in (ProtocolTag.Q10, ProtocolTag.Q01, ProtocolTag.Q11):
+            probes.clear()
+            q_of_t, _ = dephasing.functions(tag)
+            total_variation(q_of_t, 15.0, SCHED.instants,
+                            qdot_of_t=SignRate(dephasing, tag))
+            assert probes, tag
+
     def test_non_equidistant_schedule_never_enters_table(self, monkeypatch):
+        # each scan fills its rows from the table or, row by row, through
+        # the exact route; the uneven train fills every row exactly
         calls = []
-        original = ControlledDecoherence.train_table
+        on_segments = ControlledDecoherence.on_segments
+        derivative = ControlledDecoherence.derivative
 
-        def counting(self, *args, **kwargs):
-            rows, dgamma, dgamma0 = original(self, *args, **kwargs)
-            calls.append((self.schedule, len(rows)))
-            return rows, dgamma, dgamma0
+        def counting(self, ts, *args, **kwargs):
+            calls.append([self.schedule, len(ts), 0])
+            return on_segments(self, ts, *args, **kwargs)
 
-        monkeypatch.setattr(ControlledDecoherence, "train_table", counting)
+        def filling(self, t, *args):
+            if np.ndim(t) == 2:
+                calls[-1][2] += len(t)
+            return derivative(self, t, *args)
+
+        monkeypatch.setattr(ControlledDecoherence, "on_segments", counting)
+        monkeypatch.setattr(ControlledDecoherence, "derivative", filling)
         uneven = pulses.PulseSchedule((1.0, 2.5, 3.0, 7.0), 10.0)
         for sched in (uneven, pdd_schedule(5, 10.0)):
             dephasing = Dephasing(OHMIC, sched)
@@ -255,8 +299,9 @@ class TestSignRate:
                                                sched.instants, qdot_of_t)
             assert signs == pytest.approx(exact, rel=1e-12, abs=0.0)
         # the uneven train asks for the table and gets no rows
-        assert {s is uneven for s, _ in calls} == {True, False}
-        assert all((rows == 0) == (s is uneven) for s, rows in calls)
+        assert {s is uneven for s, _, _ in calls} == {True, False}
+        assert all((rows == filled) == (s is uneven)
+                   for s, rows, filled in calls)
 
 
 class TestSingleQubitChannel:

@@ -56,6 +56,19 @@ class TestTotalVariation:
         with pytest.raises(ValueError):
             total_variation(lambda t: t, -1.0)
 
+    @pytest.mark.parametrize("end", [np.nan, np.inf])
+    def test_non_finite_window_end_rejected(self, end):
+        # a nan or inf end would scan nan slopes to the round limit
+        q = lambda t: np.exp(-np.asarray(t))
+        qd = lambda t: -np.exp(-np.asarray(t))
+        with pytest.raises(ValueError, match="finite"):
+            total_variation(q, end, qdot_of_t=qd)
+        with pytest.raises(ValueError, match="finite"):
+            cumulative_total_variation(q, [1.0, end], q([1.0, 1.0]),
+                                       qdot_of_t=qd)
+        with pytest.raises(ValueError, match="finite|tau_d"):
+            qslt_general(singlet(), q, qd, end)
+
     def test_oscillation_counted_with_derivative(self):
         q = lambda t: np.cos(np.asarray(t))
         qd = lambda t: -np.sin(np.asarray(t))
@@ -313,6 +326,13 @@ class TestQsltGeneral:
                                    rel_tol=1e-9)
             assert general / te == pytest.approx(qslt_ratio(inputs, te),
                                                  rel=1e-7)
+
+    @pytest.mark.parametrize("tau_d", [0.0, -1.0])
+    def test_empty_window_rejected(self, tau_d):
+        # tau_d = 0 would divide a zero integral by zero
+        q, qd = protocol_functions("Q00", OHMIC)
+        with pytest.raises(ValueError, match="tau_d must be positive"):
+            qslt_general(singlet(), q, qd, tau_d)
 
     def test_frozen_dynamics_raises(self):
         one = lambda t: np.ones_like(np.asarray(t, dtype=float))

@@ -255,18 +255,19 @@ class TestTrainTable:
     @pytest.fixture
     def tables(self, monkeypatch):
         calls = []
-        original = ControlledDecoherence.train_table
+        original = ControlledDecoherence.on_segments
 
-        def recording(self, fn, x, a, b, include_static):
-            calls.append(include_static)
-            return original(self, fn, x, a, b, include_static)
+        def recording(self, ts, x, a, b, rate=False, plus_base=False):
+            calls.append(rate)
+            return original(self, ts, x, a, b, rate, plus_base)
 
-        monkeypatch.setattr(ControlledDecoherence, "train_table", recording)
+        monkeypatch.setattr(ControlledDecoherence, "on_segments", recording)
         return calls
 
     @pytest.mark.parametrize("name", ["fig3_trace_markovian_n100",
                                       "fig4_trace_nonmarkovian_n100"])
-    def test_table_gamma_matches_exact_route_on_trace_grid(self, name):
+    def test_table_gamma_matches_exact_route_on_trace_grid(self, name,
+                                                           monkeypatch):
         cfg = load_config(CONFIGS / f"{name}.cfg")
         schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
         ts, x = time_grid(cfg, schedule.instants)
@@ -274,27 +275,46 @@ class TestTrainTable:
         dephasing = Dephasing(SpectralParams(cfg.s, cfg.eta, cfg.omega_c),
                               schedule)
         gamma = dephasing.controlled
-        rows, values, base_values = gamma.train_table(
-            gamma.base, x, ts[:-1:p], ts[p::p], include_static=True)
-        # every train segment, not [tau_N, tau_f] or the tail
-        assert np.array_equal(rows, np.arange(cfg.n_pulses))
-        at = (rows * p)[:, None] + np.arange(p + 1)
-        assert np.max(np.abs(values - gamma(ts[at]))) <= 1e-13
-        assert np.max(np.abs(base_values - gamma.base(ts[at]))) <= 1e-14
+        at = p * np.arange((len(ts) - 1) // p)[:, None] + np.arange(p + 1)
+        want = gamma(ts[at])
+        exact_rows = []
+        call = ControlledDecoherence.__call__
+
+        def recording(self, t):
+            exact_rows.append(t)
+            return call(self, t)
+
+        monkeypatch.setattr(ControlledDecoherence, "__call__", recording)
+        values = gamma.on_segments(ts[at], x, ts[at[:, 0]], ts[at[:, -1]])
+        assert np.max(np.abs(values - want)) <= 1e-13
+        # every train segment from the table, not [tau_N, tau_f] or the tail
+        assert len(exact_rows) == 1
+        assert np.array_equal(exact_rows[0], ts[at[cfg.n_pulses:]])
+        monkeypatch.undo()
         # the columns put each table value at its own grid time
         table, exact = dephasing.q_columns(ts, x), dephasing.q_columns(ts)
         for tag in ProtocolTag:
             assert np.allclose(table[tag], exact[tag], rtol=1e-13, atol=0.0)
         assert np.array_equal(table[ProtocolTag.Q00], exact[ProtocolTag.Q00])
 
+    def test_points_past_whole_segments_take_exact_route(self):
+        # tau_d one ulp past tau_f collapses the tail to one grid point
+        cfg = small_cfg(tau_d=float(np.nextafter(10.0, 11.0)))
+        schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
+        ts, x = time_grid(cfg, schedule.instants)
+        assert (len(ts) - 1) % (len(x) - 1) == 1
+        gamma = Dephasing(SpectralParams(1.0, 0.5), schedule).controlled
+        assert np.allclose(gamma.on_grid(ts, x), gamma(ts), rtol=1e-13,
+                           atol=0.0)
+
     def test_q00_trace_builds_no_rate_table_unpulsed_none(self, tables):
         # a Q00 trace prints Q10 and Q11 too, so its columns take the
         # Gamma table; its extrema search takes no rate
         run_trace(small_cfg(protocol="Q00"))
-        assert tables == [True]
+        assert tables == [False]
         tables.clear()
         run_trace(small_cfg(protocol="Q11"))
-        assert tables[0] and len(tables) > 1 and not any(tables[1:])
+        assert not tables[0] and len(tables) > 1 and all(tables[1:])
         tables.clear()
         run_trace(small_cfg(n_pulses=0))
         assert tables == []
