@@ -82,8 +82,7 @@ class ProtocolTag(Enum):
 
     @property
     def pulsed(self):
-        return {"Q00": (False, False), "Q10": (True, False),
-                "Q01": (False, True), "Q11": (True, True)}[self.value]
+        return self.value[1] == "1", self.value[2] == "1"
 
 
 @dataclass(frozen=True)

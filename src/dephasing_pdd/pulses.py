@@ -13,8 +13,9 @@ n-th and (n+1)-th pulse,
 
 The last two sums, S_n, depend only on the schedule and are set up once,
 by continuity at each pulse (an O(N) lattice sum on the equidistant
-train).  Each time point then costs O(N) terms, in array calls of a few
-thousand terms.  On the equidistant train one table of Gamma0 or Gamma0'
+train).  Each time point then costs O(N) terms, summed, as in the oracle,
+in blocks of whole points of at most ``_BLOCK_TERMS`` = 2**16 (point,
+pulse) terms.  On the equidistant train one table of Gamma0 or Gamma0'
 over the pulse lattice serves whole segments sampled at common fractions
 (:meth:`ControlledDecoherence.on_segments`).  The oracles are the exact
 per-point route for the table and, in the tests, the bath integral
@@ -29,8 +30,7 @@ import numpy as np
 
 from .spectral import SpectralParams, bath_integral, gamma0_analytic
 
-_BLOCK_TERMS = 4096
-_PHASE_ENTRIES = 2 ** 20  # complex pulse phases held at once in the oracle
+_BLOCK_TERMS = 2 ** 16  # (point, pulse) terms held at once, whole points
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,13 @@ class ControlledDecoherence:
             raise ValueError("t must be nonnegative")
         # n pulses strictly before t; t == tau_j stays on the left
         # branch, which Gamma_n continuity makes equivalent
-        n = np.searchsorted(self._taus, tt.ravel(), side="left")
-        # one fn call per block of ~_BLOCK_TERMS terms keeps memory flat
-        pieces = [(tt.ravel(), n)]
-        if n.sum() + n.size > _BLOCK_TERMS:
-            cuts = np.searchsorted(np.cumsum(n + 1), np.arange(
-                _BLOCK_TERMS, n.sum() + n.size, _BLOCK_TERMS))
-            pieces = zip(np.split(tt.ravel(), cuts), np.split(n, cuts))
-        blocks = []
-        for tb, nb in pieces:
+        flat = tt.ravel()
+        n = np.searchsorted(self._taus, flat, side="left")
+        out = np.empty(flat.size)
+        # one fn call per block of whole points keeps memory flat
+        rows = max(1, _BLOCK_TERMS // (len(self._taus) + 1))
+        for lo in range(0, flat.size, rows):
+            tb, nb = flat[lo:lo + rows], n[lo:lo + rows]
             # point-major (point i, pulse j < n_i) pairs
             i = np.repeat(np.arange(nb.size), nb)
             j = np.arange(i.size) - (np.cumsum(nb) - nb)[i]
@@ -127,8 +125,7 @@ class ControlledDecoherence:
                 block = block + self._static[nb]
             # terms 2 (-1)^(j+1+n) fn(t - tau_j), added in pulse order
             np.add.at(block, i, self._pair_sign[j + nb[i]] * vals[tb.size:])
-            blocks.append(block)
-        out = np.concatenate(blocks)
+            out[lo:lo + rows] = block
         return float(out[0]) if tt.ndim == 0 else out.reshape(tt.shape)
 
     def __call__(self, t):
@@ -220,8 +217,7 @@ def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,
     sign_t = (-1.0) ** (n + 1)
     signs_j = (-1.0) ** np.arange(1, n + 1)
 
-    # points per block: at most _PHASE_ENTRIES (point, pulse) phases
-    rows = max(1, _PHASE_ENTRIES // max(n, 1))
+    rows = max(1, _BLOCK_TERMS // max(n, 1))
 
     def weight(x):
         f = 1.0 + sign_t * np.exp(1j * u * x)

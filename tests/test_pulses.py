@@ -129,7 +129,9 @@ class TestControlledDecoherence:
         assert vec == pytest.approx([gamma(float(t)) for t in ts])
 
     @pytest.mark.parametrize("n", [0, 1, 7, 100])
-    def test_matches_per_pulse_reference(self, n):
+    def test_matches_per_pulse_reference(self, n, monkeypatch):
+        if n == 100:  # 40 points per block
+            monkeypatch.setattr(pulses, "_BLOCK_TERMS", 2 ** 12)
         sched = pdd_schedule(n, 10.0)
         rng = np.random.default_rng(n)
         ts = np.concatenate(([0.0], sched.instants, rng.uniform(0.0, 25.0, 300)))
@@ -144,17 +146,15 @@ class TestControlledDecoherence:
                 assert np.array_equal(
                     gamma.derivative(t),
                     per_pulse_reference(gamma, base_dot, t, False))
-        if n == 100:  # the terms of ts fill several blocks
-            terms = np.searchsorted(sched.instants, ts).sum()
-            assert terms > 3 * pulses._BLOCK_TERMS
+        if n == 100:  # the points of ts fill several blocks
+            assert ts.size > 3 * (pulses._BLOCK_TERMS // (n + 1))
 
     @pytest.mark.parametrize("n", [1, 7, 100])
     def test_one_block_matches_many_blocks(self, n, monkeypatch):
-        # terms within one block skip the block split, bit for bit
+        # points in one block match one point per block, bit for bit
         sched = pdd_schedule(n, 10.0)
         ts = np.random.default_rng(n).uniform(0.0, 12.0, 30)
-        assert np.searchsorted(sched.instants, ts).sum() + ts.size <= (
-            pulses._BLOCK_TERMS)
+        assert ts.size <= pulses._BLOCK_TERMS // (n + 1)
         p = SpectralParams(3.0, 0.5)
         gamma = ControlledDecoherence(free_decoherence(p), sched,
                                       lambda t: gamma0_derivative(p, t))
@@ -163,6 +163,34 @@ class TestControlledDecoherence:
         many = [gamma(ts), gamma.derivative(ts), gamma(float(ts[0]))]
         for a, b in zip(one, many):
             assert np.array_equal(a, b)
+
+    @staticmethod
+    def counted_gamma(n, calls):
+        def base_dot(t):
+            calls.append(t.size)
+            return gamma0_derivative(OHMIC, t)
+        return ControlledDecoherence(free_decoherence(OHMIC),
+                                     pdd_schedule(n, 10.0), base_dot)
+
+    @pytest.mark.parametrize("points, n", [(4000, 2000), (1000, 100), (3, 7)])
+    def test_one_base_call_per_block_of_whole_points(self, points, n):
+        # the call count follows the point count, wherever the points fall
+        calls = []
+        gamma = self.counted_gamma(n, calls)
+        gamma.derivative(np.random.default_rng(n).uniform(0.0, 12.0, points))
+        rows = pulses._BLOCK_TERMS // (n + 1)
+        assert len(calls) == -(-points // rows)
+
+    def test_exact_route_memory_is_bounded_at_large_n(self):
+        gamma = self.counted_gamma(2000, [])
+        ts = np.random.default_rng(0).uniform(0.0, 12.0, 4000)
+        tracemalloc.start()
+        try:
+            gamma.derivative(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_rejects_negative_time(self):
         gamma = ControlledDecoherence(free_decoherence(OHMIC),
@@ -276,13 +304,13 @@ class TestFilterFunctionOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 8 * 2 ** 20
 
     @pytest.mark.parametrize("t", [0.3, 7.3, 12.0])
     def test_phase_blocks_keep_each_value(self, t, monkeypatch):
         sched = pdd_schedule(20, 10.0)
         blocked = controlled_gamma_quadrature(OHMIC, sched, t)
-        monkeypatch.setattr(pulses, "_PHASE_ENTRIES", 2 ** 62)  # one block
+        monkeypatch.setattr(pulses, "_BLOCK_TERMS", 2 ** 62)  # one block
         assert controlled_gamma_quadrature(OHMIC, sched, t) == blocked
-        monkeypatch.setattr(pulses, "_PHASE_ENTRIES", 50)  # 2 points each
+        monkeypatch.setattr(pulses, "_BLOCK_TERMS", 50)  # 2-3 points each
         assert controlled_gamma_quadrature(OHMIC, sched, t) == blocked
