@@ -6,12 +6,12 @@ Each run is a fresh process with PYTHONPATH set to one source tree.  With
 ``--src OTHER/src`` every case runs as pairs, the ``--src`` tree first on
 odd pairs and this checkout first on even pairs, so a drift of the host's
 speed falls on both sides alike; without it only this checkout is timed.
-For each side the record holds the samples, median and quartiles, and the
-CSV digests; with two sides also the share of pairs each wins (a tie counts
-for neither).  It names the machine, this checkout's commit and whether its
-tree is dirty, and the ``--src`` path as given, and goes to a new
-BENCH_<label>.json: a label that is not a plain name, or whose file exists,
-is refused before anything runs.
+For each side the record holds the samples, median and quartiles, each
+run's peak RSS and the CSV digests; with two sides also the share of pairs
+each wins (a tie counts for neither).  It names the machine, this
+checkout's commit and whether its tree is dirty, and the ``--src`` path as
+given, and goes to a new BENCH_<label>.json: a label that is not a plain
+name, or whose file exists, is refused before anything runs.
 
 Usage:
     python3 scripts/bench.py --label NAME [--src OTHER/src]
@@ -24,9 +24,11 @@ import json
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -36,7 +38,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SWEEP_CASES = (("fig1_sweep_markovian", (500, 1000, 2000)),
-               ("fig2_sweep_nonmarkovian", (500, 1000, 2000, 10000)))
+               ("fig2_sweep_nonmarkovian", (500, 1000, 2000, 5000, 10000)))
 CONSTRUCTION_NS = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
 CONSTRUCTION_TIMEOUT_S = 300
 WORKER = (f"import sys; sys.path.append({str(REPO / 'scripts')!r}); "
@@ -54,20 +56,39 @@ def wins(mine, theirs):
 
 
 def run(argv, src, timeout=None):
-    """(wall s, stdout, SHA-256 of what it wrote to OUT or None) of one fresh
-    process ``python3 *argv`` with PYTHONPATH=src, or None past timeout."""
+    """(wall s, stdout, SHA-256 of what it wrote to OUT or None, peak RSS
+    in MB) of one fresh process ``python3 *argv`` with PYTHONPATH=src, or
+    None past timeout.  The process is reaped by ``os.wait4``, whose
+    ``ru_maxrss`` (KiB on Linux) is its peak resident set."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         cmd = [sys.executable, *(str(out) if a == "OUT" else a for a in argv)]
         start = time.perf_counter()
-        try:
-            done = subprocess.run(cmd, cwd=REPO, stdout=subprocess.PIPE,
-                                  text=True, check=True, timeout=timeout,
-                                  env=dict(os.environ, PYTHONPATH=str(src)))
-        except subprocess.TimeoutExpired:
-            return None
+        proc = subprocess.Popen(cmd, cwd=REPO, stdout=subprocess.PIPE,
+                                text=True,
+                                env=dict(os.environ, PYTHONPATH=str(src)))
+        killed = []
+
+        def kill():  # os.kill, not proc.kill, which may reap the process
+            killed.append(True)
+            os.kill(proc.pid, signal.SIGKILL)
+
+        timer = threading.Timer(timeout, kill) if timeout else None
+        if timer:
+            timer.start()
+        with proc.stdout:
+            stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
-        return wall, done.stdout, digest(out) if out.exists() else None
+        if timer:
+            timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if killed:
+            return None
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, cmd, stdout)
+        return (wall, stdout, digest(out) if out.exists() else None,
+                usage.ru_maxrss / 1024)
 
 
 def digest(path):
@@ -107,6 +128,11 @@ def compare(samples):
         out["checkout_wins"] = f"{wins(mine, theirs)}/{pairs}"
         out["other_wins"] = f"{wins(theirs, mine)}/{pairs}"
     return out
+
+
+def peak_rss(side_runs):
+    """The peak RSS (MB) of each run that did not time out."""
+    return [_sig(r[3]) for r in side_runs if r]
 
 
 def _sig(x):
@@ -274,7 +300,8 @@ def main(argv=None):
             **compare({side: [r[0] for r in side_runs]
                        for side, side_runs in runs.items()})}
         for side, side_runs in runs.items():
-            result[side]["csv_sha256"] = side_runs[-1][2]
+            result[side].update(csv_sha256=side_runs[-1][2],
+                                peak_rss_mb=peak_rss(side_runs))
         print(name, result, flush=True)
 
     for n in CONSTRUCTION_NS:
@@ -284,13 +311,16 @@ def main(argv=None):
             {side: [float(r[1]) for r in side_runs if r]
              for side, side_runs in runs.items()})
         for side, side_runs in runs.items():
+            result[side]["peak_rss_mb"] = peak_rss(side_runs)
             if None in side_runs:
                 result[side]["timed_out_after_s"] = CONSTRUCTION_TIMEOUT_S
         print(f"construction at N = {n}", result, flush=True)
 
-    reports = {side: [json.loads(r[1]) for r in side_runs] for side, side_runs
-               in measure(["-c", WORKER.format("oracle_report()")], srcs,
-                          PAIRS).items()}
+    runs = measure(["-c", WORKER.format("oracle_report()")], srcs, PAIRS)
+    reports = {side: [json.loads(r[1]) for r in side_runs]
+               for side, side_runs in runs.items()}
+    record["oracle_peak_rss_mb"] = {side: peak_rss(side_runs)
+                                    for side, side_runs in runs.items()}
     for group in ORACLE_REPEATS:
         result = record["oracles"][group] = compare(
             {side: [r[group]["time_per_call_s"] for r in reps]

@@ -13,24 +13,26 @@ n-th and (n+1)-th pulse,
 
 The last two sums, S_n, depend only on the schedule and are set up once,
 by continuity at each pulse (an O(N) lattice sum on the equidistant
-train).  Each time point then costs O(N) terms, summed, as in the oracle,
+train).  Each time point then costs O(N) terms on the exact route, summed
 in blocks of whole points of at most ``_BLOCK_TERMS`` = 2**16 (point,
 pulse) terms.  On the equidistant train one table of Gamma0 or Gamma0'
 over the pulse lattice serves whole segments sampled at common fractions
 (:meth:`ControlledDecoherence.on_segments`).  The oracles are the exact
-per-point route for the table and, in the tests, the bath integral
-(:func:`.spectral.bath_integral`) of the pulse-train filter function.
+per-point route for the table and the bath integral of the pulse-train
+filter (:func:`controlled_gamma_quadrature`): one phase recurrence over
+the pulses, one exponential per frequency node on the train.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import SpectralParams, bath_integral, gamma0_analytic
 
-_BLOCK_TERMS = 2 ** 16  # (point, pulse) terms held at once, whole points
+_BLOCK_TERMS = 2 ** 16  # exact route: (point, pulse) terms held at once
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,13 @@ class PulseSchedule:
     def n_pulses(self):
         return len(self.instants)
 
+    @property
+    def spacing(self):
+        """delta if the instants are tau_j = j delta bit for bit, else None."""
+        taus = np.fromiter(self.instants, float, len(self.instants))
+        on_train = (taus == taus[:1] * np.arange(1, taus.size + 1)).all()
+        return float(taus[0]) if taus.size and on_train else None
+
 
 def pdd_schedule(n_pulses: int, tau_f: float) -> PulseSchedule:
     """Equally spaced train: tau_n = n * tau_f / (N + 1), n = 1..N."""
@@ -77,28 +86,25 @@ class ControlledDecoherence:
         self.base = base
         self.schedule = schedule
         self.base_derivative = base_derivative
-        self._taus = taus = np.asarray(schedule.instants, dtype=float)
-        n = len(taus)
+        # on the train the instants are delta * j bit for bit
+        self._spacing = delta = schedule.spacing
+        n = schedule.n_pulses
+        self._taus = taus = (np.asarray(schedule.instants, dtype=float)
+                             if delta is None else delta * np.arange(1, n + 1))
         # (-1)^n leads Gamma_n; the term of the j-th pulse (j from 0) carries
         # 2 (-1)^(j+1+n), read at j + n < 2N
         self._lead = np.ones(n + 1)
         self._lead[1::2] = -1.0
         self._pair_sign = np.full(2 * n, -2.0)
         self._pair_sign[1::2] = 2.0
-        # delta if the instants are tau_j = j delta bit for bit
-        self._spacing = (float(taus[0]) if n and (
-            taus == taus[0] * np.arange(1, n + 1)).all() else None)
         # S_j - S_(j-1) = 2 D(tau_j), D the dynamic part of Gamma_(j-1),
         # by continuity at tau_j; on the train D(tau_j) = A_j + A_(j-1),
         # A_j = sum_(m<=j) (-1)^(m+1) Gamma0(tau_m)
-        if self._spacing is not None:
-            dynamic = np.array(base(taus), dtype=float)
-            dynamic[1::2] *= -1.0
-            dynamic = dynamic.cumsum()
+        if delta is not None:
+            dynamic = (-self._lead[1:] * base(taus)).cumsum()
             dynamic[1:] += dynamic[:-1]
         else:
-            dynamic = (self._evaluate(base, taus, self._lead, False)
-                       if n else taus)
+            dynamic = self._evaluate(base, taus, self._lead, False)
         self._static = np.concatenate(([0.0], (2.0 * dynamic).cumsum()))
 
     def _evaluate(self, fn, t, lead, include_static):
@@ -207,26 +213,24 @@ def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,
         f_n(w,t) = 1 + (-1)^(n+1) e^(iwt) + 2 sum_{j<=n} (-1)^j e^(iw tau_j),
 
     with n the number of pulses before t: the bath integral of the weight
-    |f_n|^2 / 2, as in the free-exponent oracle.
+    |f_n|^2 / 2, as in the free-exponent oracle.  Its pulse sum is the
+    recurrence p_0 = 2, p_j = -p_(j-1) e^(iw (tau_j - tau_(j-1))), f_n += p_j,
+    one exponential per run of equal gaps: two per node on the train.
     """
     t = float(t)
-    taus = np.asarray([x for x in schedule.instants if x < t], dtype=float)
-    n = len(taus)
-    u = p.omega_c * t
-    v = p.omega_c * taus
-    sign_t = (-1.0) ** (n + 1)
-    signs_j = (-1.0) ** np.arange(1, n + 1)
-
-    rows = max(1, _BLOCK_TERMS // max(n, 1))
+    taus = [x for x in schedule.instants if x < t]
+    delta = schedule.spacing  # a prefix of the train is a train
+    gaps = p.omega_c * (np.full(len(taus), delta) if delta is not None
+                        else np.diff(taus, prepend=0.0))
 
     def weight(x):
-        f = 1.0 + sign_t * np.exp(1j * u * x)
-        if n:
-            for lo in range(0, len(x), rows):
-                phases = 1j * np.outer(x[lo:lo + rows], v)
-                np.exp(phases, out=phases)
-                phases *= signs_j
-                f[lo:lo + rows] += 2.0 * phases.sum(axis=1)
+        f = 1.0 + (-1.0) ** (len(taus) + 1) * np.exp(1j * p.omega_c * t * x)
+        phase = np.full(x.shape, 2.0 + 0j)
+        for gap, run in itertools.groupby(gaps):  # one step per equal run
+            step = -np.exp(1j * gap * x)
+            for _ in run:
+                phase *= step
+                f += phase
         return 0.5 * np.abs(f) ** 2
 
     return bath_integral(p, t, weight, tol)

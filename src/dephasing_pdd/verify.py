@@ -58,13 +58,16 @@ def check_spectral_oracle():
 
 def check_filter_oracle():
     worst = 0.0
-    tau_f = 10.0
+    tau_f, delta = 10.0, 10.0 / 1001
+    grid = np.linspace(0.5, 2 * tau_f, 7)
+    cases = ((1, grid), (5, grid),
+             (1000, (5.0 + delta / 4, tau_f - delta / 2, 2 * tau_f)))
     for s in (1.0, 3.0):
         p = SpectralParams(s, 0.5)
-        for n in (1, 5):
+        for n, times in cases:
             sched = pdd_schedule(n, tau_f)
             gamma = ControlledDecoherence(free_decoherence(p), sched)
-            for t in np.linspace(0.5, 2 * tau_f, 7):
+            for t in times:
                 ref = controlled_gamma_quadrature(p, sched, t)
                 worst = max(worst, _rel_err(gamma(t), ref))
     return CheckResult("filter_oracle", worst, 1e-5)

@@ -1,10 +1,15 @@
 """The pairing, win count, label refusal and case list of scripts/bench.py.
 
-No test here starts a process: ``bench.run`` is replaced by a stub, and a
-refused label must exit before ``subprocess.run`` is reached.
+No test here starts a process: ``bench.run`` or ``subprocess.Popen`` and
+``os.wait4`` are replaced by stubs, and a refused label must exit before a
+process is started.
 """
 
 import importlib.util
+import io
+import signal
+import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -24,7 +29,46 @@ def bench(monkeypatch):
         raise AssertionError("a test started a process")
 
     monkeypatch.setattr(module.subprocess, "run", no_process)
+    monkeypatch.setattr(module.subprocess, "Popen", no_process)
     return module
+
+
+def stub_process(bench, monkeypatch, wait4):
+    """Popen returns a process that printed "out" and os.wait4 is ``wait4``;
+    os.kill only records its arguments."""
+    class Process:
+        pid, returncode, stdout = 4242, None, io.StringIO("out\n")
+
+    kills = []
+    monkeypatch.setattr(bench.subprocess, "Popen",
+                        lambda cmd, **kwargs: Process())
+    monkeypatch.setattr(bench.os, "wait4", wait4)
+    monkeypatch.setattr(bench.os, "kill", lambda *args: kills.append(args))
+    return kills
+
+
+def test_run_reads_the_peak_rss_from_wait4(bench, monkeypatch):
+    usage = types.SimpleNamespace(ru_maxrss=51200)  # KiB
+    kills = stub_process(bench, monkeypatch,
+                         lambda pid, options: (pid, 0, usage))
+    wall, stdout, digest, rss_mb = bench.run(["-c", "pass"], "src",
+                                             timeout=60)
+    assert (stdout, digest, rss_mb) == ("out\n", None, 50.0)
+    assert wall >= 0.0 and kills == []
+
+
+def test_run_kills_at_the_timeout_and_returns_none(bench, monkeypatch):
+    killed = threading.Event()
+
+    def wait4(pid, options):  # the process ends only when killed
+        assert killed.wait(10)
+        return pid, signal.SIGKILL, types.SimpleNamespace(ru_maxrss=1024)
+
+    kills = stub_process(bench, monkeypatch, wait4)
+    monkeypatch.setattr(bench.os, "kill",
+                        lambda *args: kills.append(args) or killed.set())
+    assert bench.run(["-c", "pass"], "src", timeout=0.01) is None
+    assert kills == [(4242, signal.SIGKILL)]
 
 
 def test_pairs_alternate_with_the_src_side_first(bench, monkeypatch):
@@ -80,4 +124,5 @@ def test_the_cases_hold_every_config(bench, monkeypatch):
         assert argv[3:] == ["--config", f"configs/{cfg.name}", "--out", "OUT"]
     assert "generate_figure_data" in cases
     assert cases["import"] == ["-c", "import dephasing_pdd"]
+    assert "fig2_sweep_nonmarkovian_n5000" in cases
     assert "fig2_sweep_nonmarkovian_n10000" in cases

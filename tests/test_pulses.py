@@ -13,8 +13,8 @@ from dephasing_pdd import pulses
 from dephasing_pdd.pulses import (ControlledDecoherence, PulseSchedule,
                                   controlled_gamma_quadrature,
                                   free_decoherence, pdd_schedule)
-from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
-                                    gamma0_derivative)
+from dephasing_pdd.spectral import (SpectralParams, bath_integral,
+                                    gamma0_analytic, gamma0_derivative)
 
 OHMIC = SpectralParams(1.0, 0.5)
 
@@ -97,6 +97,16 @@ class TestPulseSchedule:
         sched = pdd_schedule(10, 10.0)
         expected = [10.0 * n / 11.0 for n in range(1, 11)]
         assert sched.instants == pytest.approx(expected)
+
+    @pytest.mark.parametrize("n", [2, 20, 1000])
+    def test_spacing_names_the_train_and_its_prefixes(self, n):
+        sched = pdd_schedule(n, 10.0)
+        assert sched.spacing == 10.0 / (n + 1)
+        assert PulseSchedule(sched.instants[:n // 2], 10.0).spacing == (
+            sched.spacing)
+        nudged = (*sched.instants[:-1], np.nextafter(sched.instants[-1], 0))
+        assert PulseSchedule(nudged, 10.0).spacing is None
+        assert PulseSchedule((), 10.0).spacing is None
 
     def test_pdd_rejects_negative_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -306,11 +316,75 @@ class TestFilterFunctionOracle:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
-    @pytest.mark.parametrize("t", [0.3, 7.3, 12.0])
-    def test_phase_blocks_keep_each_value(self, t, monkeypatch):
-        sched = pdd_schedule(20, 10.0)
-        blocked = controlled_gamma_quadrature(OHMIC, sched, t)
-        monkeypatch.setattr(pulses, "_BLOCK_TERMS", 2 ** 62)  # one block
-        assert controlled_gamma_quadrature(OHMIC, sched, t) == blocked
-        monkeypatch.setattr(pulses, "_BLOCK_TERMS", 50)  # 2-3 points each
-        assert controlled_gamma_quadrature(OHMIC, sched, t) == blocked
+    @staticmethod
+    def per_pulse_oracle(p, schedule, t):
+        """The filter-function integral with one np.exp per (node, pulse)."""
+        taus = np.array([x for x in schedule.instants if x < t])
+        signs = 2.0 * (-1.0) ** np.arange(1, taus.size + 1)
+
+        def weight(x):
+            w = p.omega_c * x
+            f = 1.0 + (-1.0) ** (taus.size + 1) * np.exp(1j * t * w)
+            for lo in range(0, x.size, 256):
+                phases = np.exp(1j * np.outer(w[lo:lo + 256], taus))
+                f[lo:lo + 256] += (phases * signs).sum(axis=1)
+            return 0.5 * np.abs(f) ** 2
+
+        return bath_integral(p, t, weight, 1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 1000])
+    def test_recurrence_matches_per_pulse_exponentials_on_the_train(self, n):
+        sched = pdd_schedule(n, 10.0)
+        delta = 10.0 / (n + 1)
+        times = (5.0 + delta / 4, 10.0 - delta / 2)
+        # at N = 1000 each route rounds to about 1e-12 of Gamma (against a
+        # long-double evaluation of the same integrand), so they differ by
+        # up to twice that; at smaller N they agree to a few 1e-15
+        rel, cases = ((3e-12, [(1.0, t) for t in times]) if n == 1000 else
+                      (1e-12, [(s, t) for s in (1.0, 3.0)
+                               for t in (delta / 2, *times, 20.0)]))
+        for s, t in cases:
+            p = SpectralParams(s, 0.5)
+            assert controlled_gamma_quadrature(p, sched, t) == pytest.approx(
+                self.per_pulse_oracle(p, sched, t), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_recurrence_matches_per_pulse_exponentials_off_the_train(self,
+                                                                     seed):
+        rng = np.random.default_rng(seed)
+        sched = PulseSchedule(tuple(np.sort(rng.uniform(
+            0.05, 9.95, int(rng.integers(1, 301))))), 10.0)
+        assert sched.spacing is None
+        for s in (1.0, 3.0):
+            p = SpectralParams(s, 0.5)
+            t = float(rng.uniform(0.2, 20.0))
+            assert controlled_gamma_quadrature(p, sched, t) == pytest.approx(
+                self.per_pulse_oracle(p, sched, t), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 20, 1000])
+    def test_two_exponentials_per_weight_call_on_the_train(self, n,
+                                                           monkeypatch):
+        class CountingNumpy:
+            exp_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, *args, **kwargs):
+                self.exp_calls += 1
+                return np.exp(*args, **kwargs)
+
+        counting, per_call = CountingNumpy(), []
+
+        def counted_integral(p, t, weight, tol):
+            def counted(x):
+                before = counting.exp_calls
+                out = weight(x)
+                per_call.append(counting.exp_calls - before)
+                return out
+            return bath_integral(p, t, counted, tol)
+
+        monkeypatch.setattr(pulses, "np", counting)
+        monkeypatch.setattr(pulses, "bath_integral", counted_integral)
+        controlled_gamma_quadrature(OHMIC, pdd_schedule(n, 10.0), 12.0)
+        assert per_call and set(per_call) == {2}

@@ -14,7 +14,8 @@ from dephasing_pdd import quadrature
 from dephasing_pdd.dynamics import (ControlProtocol, ProtocolTag,
                                     attenuation_functions, singlet)
 from dephasing_pdd.errors import QuadratureError
-from dephasing_pdd.pulses import controlled_gamma_quadrature, pdd_schedule
+from dephasing_pdd.pulses import (PulseSchedule, controlled_gamma_quadrature,
+                                  pdd_schedule)
 from dephasing_pdd.qsl import qslt_general
 from dephasing_pdd.quadrature import _NODES, _WEIGHTS
 from dephasing_pdd.spectral import SpectralParams, gamma0_quadrature
@@ -80,12 +81,18 @@ def test_gamma0_quadrature_within_tol_of_mpmath(s, t):
 
 @pytest.mark.parametrize("s", [1.0, 3.0])
 @pytest.mark.parametrize("n", [5, 100])
-@pytest.mark.parametrize("side", [-0.25, 0.25], ids=["before", "after"])
-def test_controlled_gamma_quadrature_within_tol_of_mpmath(s, n, side):
-    # t a quarter spacing before or after the middle pulse
+@pytest.mark.parametrize("side,nudge", [(-0.25, 0.0), (0.25, 0.0),
+                                        (0.25, 1e-3)],
+                         ids=["before", "after", "nudged"])
+def test_controlled_gamma_quadrature_within_tol_of_mpmath(s, n, side, nudge):
+    # t a quarter spacing before or after the middle pulse; "nudged" moves
+    # that pulse by spacing/1000, off the train, onto the per-gap steps
     tol = 1e-9
-    sched = pdd_schedule(n, 10.0)
-    t = sched.instants[n // 2] + side * 10.0 / (n + 1)
+    spacing = 10.0 / (n + 1)
+    instants = list(pdd_schedule(n, 10.0).instants)
+    instants[n // 2] += nudge * spacing
+    sched = PulseSchedule(tuple(instants), 10.0)
+    t = instants[n // 2] + side * spacing
     ref = controlled_gamma_mp(s, sched.instants, t)
     got = controlled_gamma_quadrature(SpectralParams(s, ETA), sched, t,
                                       tol=tol)
