@@ -8,7 +8,11 @@ odd pairs and this checkout first on even pairs, so a drift of the host's
 speed falls on both sides alike; without it only this checkout is timed.
 For each side the record holds the samples, median and quartiles, each
 run's peak RSS and the CSV digests; with two sides also the share of pairs
-each wins (a tie counts for neither).  It names the machine, this
+each wins (a tie counts for neither).  Each oracle group's per-call time
+is also recorded normalized by perfbench's host-speed kernel
+(``perfbench/bench_speed.py``, imported, not copied), timed around every
+repeat, so a drift of the host's speed between the two sides' processes
+cancels.  It names the machine, this
 checkout's commit and whether its tree is dirty, and the ``--src`` path as
 given, and goes to a new BENCH_<label>.json: a label that is not a plain
 name, or whose file exists, is refused before anything runs.
@@ -202,11 +206,17 @@ def construction(n):
 
 
 def oracle_report():
-    """{group: time per call (median of the repeats), values, integrand
-    points and rounds per call} for the package on sys.path; the counting
-    pass wraps quadrature._panel_estimates and is the warm-up."""
+    """{group: time per call (median of the repeats), the same normalized
+    by the host-speed kernel, values, integrand points and rounds per call}
+    for the package on sys.path; the counting pass wraps
+    quadrature._panel_estimates and is the warm-up.  The kernel runs once
+    before a group's repeats and after each one (``SpeedProbe``), and each
+    repeat is normalized by the kernel runs around it."""
     import dephasing_pdd as dp
+    sys.path.insert(0, str(REPO / "perfbench"))
+    from bench_speed import SpeedProbe
     quad, estimates = dp.quadrature, dp.quadrature._panel_estimates
+    probe = SpeedProbe()
 
     def counted(f, lo_edges, hi_edges):
         def integrand(x):
@@ -223,13 +233,19 @@ def oracle_report():
             values = [float(call()) for call in calls]
         finally:
             quad._panel_estimates = estimates
-        walls = []
+        walls, norms, before = [], [], probe.sample()
         for _ in range(ORACLE_REPEATS[group]):
             start = time.perf_counter()
             for call in calls:
                 call()
-            walls.append((time.perf_counter() - start) / len(calls))
+            end = time.perf_counter()
+            after = probe.after_item(end - start)
+            walls.append((end - start) / len(calls))
+            norms.append(probe.normalized(before, after, start, end)
+                         / len(calls))
+            before = after
         report[group] = {"time_per_call_s": float(np.median(walls)),
+                         "time_per_call_norm_s": float(np.median(norms)),
                          "values": values, **{key: value / len(calls)
                                               for key, value in tally.items()}}
     return report
@@ -324,6 +340,9 @@ def main(argv=None):
     for group in ORACLE_REPEATS:
         result = record["oracles"][group] = compare(
             {side: [r[group]["time_per_call_s"] for r in reps]
+             for side, reps in reports.items()})
+        result["normalized"] = compare(
+            {side: [r[group]["time_per_call_norm_s"] for r in reps]
              for side, reps in reports.items()})
         for side, reps in reports.items():
             result[side].update(points=reps[0][group]["points"],

@@ -185,7 +185,7 @@ class Dephasing:
 
     def functions(self, tag: ProtocolTag):
         """(Q(t), dQ/dt) as a pair of vectorized callables; dQ/dt is
-        :class:`SignRate` times Q."""
+        :class:`SignRate` times Q and carries it as ``sign_rate``."""
         pulsed, rate = self.pulsed(tag), SignRate(self, tag)
 
         def q_of_t(t):
@@ -196,6 +196,7 @@ class Dephasing:
         def qdot_of_t(t):
             return rate(t) * q_of_t(t)
 
+        qdot_of_t.sign_rate = rate
         return q_of_t, qdot_of_t
 
 

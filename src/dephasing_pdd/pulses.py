@@ -213,9 +213,9 @@ def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,
         f_n(w,t) = 1 + (-1)^(n+1) e^(iwt) + 2 sum_{j<=n} (-1)^j e^(iw tau_j),
 
     with n the number of pulses before t: the bath integral of the weight
-    |f_n|^2 / 2, as in the free-exponent oracle.  Its pulse sum is the
-    recurrence p_0 = 2, p_j = -p_(j-1) e^(iw (tau_j - tau_(j-1))), f_n += p_j,
-    one exponential per run of equal gaps: two per node on the train.
+    |f_n|^2 / 2, at most W = 2 (n + 1)^2 as |f_n| <= 2n + 2.  Its pulse sum
+    p_0 = 2, p_j = -p_(j-1) e^(iw (tau_j - tau_(j-1))), f_n += p_j takes one
+    exponential per run of equal gaps: two per node on the train.
     """
     t = float(t)
     taus = [x for x in schedule.instants if x < t]
@@ -233,7 +233,7 @@ def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,
                 f += phase
         return 0.5 * np.abs(f) ** 2
 
-    return bath_integral(p, t, weight, tol)
+    return bath_integral(p, t, weight, 2.0 * (len(taus) + 1) ** 2, tol)
 
 
 def free_decoherence(p: SpectralParams):

@@ -160,20 +160,23 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     segment's count of sign changes repeats; then :func:`_refine` of every
     bracket at once, each bracket's first step read off the scan's
     samples around it (:func:`_seed`).  The first probe covers the first
-    two rounds, 128
-    intervals per segment, with the 64-interval counts read off its even
-    columns; each later round probes only the new midpoints.  Scan ends
-    are nudged inward, off the wrong side of a pulse instant.
+    two rounds, 128 intervals per segment, with the 64-interval counts
+    read off its even columns; each later round probes only the new
+    midpoints.  Scan ends are nudged inward, off the wrong side of a pulse
+    instant.
 
     Only the signs and zeros of ``qdot_of_t`` matter, so any positive
     multiple of dQ/dt serves, and the refinement steps on its values
-    directly.  When it has a ``scan(ts, x, a, b)`` method the scan takes
-    its rates from that, row k of ``ts`` sampling segment k at the
-    fractions ``x`` of its width (the equidistant train's table,
+    directly; a ``qdot_of_t`` that carries a ``sign_rate`` (that of
+    :meth:`~dephasing_pdd.dynamics.Dephasing.functions`) gives way to it.
+    When it has a ``scan(ts, x, a, b)`` method the scan takes its rates
+    from that, row k of ``ts`` sampling segment k at the fractions ``x``
+    of its width (the equidistant train's table,
     :class:`~dephasing_pdd.dynamics.SignRate`); refinement probes always
     call ``qdot_of_t`` itself.  Without ``qdot_of_t`` scan and refinement
     step on forward differences of ``q_of_t`` (:func:`_slope`).
     """
+    qdot_of_t = getattr(qdot_of_t, "sign_rate", qdot_of_t)
     scan = getattr(qdot_of_t, "scan", None)
 
     def probe(ts, x):
@@ -216,15 +219,11 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
     # a zero plateau yields its middle sample: a bracket closed at once
     plateau = j > i + 1
     i[plateau] = j[plateau] = (i + j)[plateau] // 2
-    if qdot_of_t is not None:
-        def refine_probe(t, k):
-            return qdot_of_t(t)
-    else:
-        def refine_probe(t, k):
-            return _slope(q_of_t, None, t, a[r[k]], b[r[k]])
-    return _refine(refine_probe, ts[r, i], slope[r, i], ts[r, j],
-                   slope[r, j], _seed(slope, r, i, j),
-                   max(rel_tol, 4.0 * np.finfo(float).eps))
+    return _refine(
+        (lambda t, k: qdot_of_t(t)) if qdot_of_t is not None
+        else lambda t, k: _slope(q_of_t, None, t, a[r[k]], b[r[k]]),
+        ts[r, i], slope[r, i], ts[r, j], slope[r, j], _seed(slope, r, i, j),
+        max(rel_tol, 4.0 * np.finfo(float).eps))
 
 
 def _nodes(q_of_t, qdot_of_t, t_start, t_end, breakpoints, rel_tol):

@@ -23,7 +23,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .correlations import (XStateSummary, concurrence_x, consonance,
                            discord_singlet)
-from .dynamics import Dephasing, ProtocolTag, SignRate
+from .dynamics import Dephasing, ProtocolTag
 from .errors import ConfigError, NoCoherenceError
 from .pulses import pdd_schedule
 from .qsl import cumulative_total_variation, phi0, qslt_cells
@@ -102,13 +102,13 @@ def _qslt_values(rho0, dephasing, tag, ts, q, fixed):
     except NoCoherenceError:
         nan = np.full(len(ts), np.nan)
         return nan, nan, np.zeros(len(ts), dtype=bool), NO_COHERENCE_FOOTNOTE
-    q_of_t, _ = dephasing.functions(tag)
+    q_of_t, qdot_of_t = dephasing.functions(tag)
     schedule = dephasing.schedule
     # tau_f splits the window too: the last pulse period's brackets are
     # as narrow as the train's, and both callers evaluate Q there already
     tv = cumulative_total_variation(
         q_of_t, ts, q, breakpoints=(*schedule.instants, schedule.tau_f),
-        qdot_of_t=SignRate(dephasing, tag))
+        qdot_of_t=qdot_of_t)
     ratio, upper, defined = qslt_cells(pref, q, tv, fixed)
     live = (ts > 0.0) & defined
     return ratio, upper, live, None if live.any() else FROZEN_FOOTNOTE

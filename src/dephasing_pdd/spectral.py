@@ -10,9 +10,9 @@ Both the closed form of Gamma0 (exact for any Ohmicity s > 0, with the
 s = 1 logarithmic limit handled separately) and an independent adaptive
 quadrature of the defining integral are provided; the quadrature acts as
 the oracle in the test suite.  It is one case of :func:`bath_integral`,
-J(w)/w^2 times a control's filter |f(w, t)|^2, whose other case is the
-pulse-train filter of :mod:`.pulses`.  All times are dimensionless
-multiples of 1/w_c.
+J(w)/w^2 times a control's filter |f(w, t)|^2 (the other: the pulse train
+of :mod:`.pulses`), cut where a tail bound from the filter's supremum
+meets the tolerance.  Times are dimensionless multiples of 1/w_c.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .quadrature import adaptive_panel_quad
 # pole at s = 1 makes the generic expression unusable nearby.
 OHMIC_THRESHOLD = 1e-9
 
-# Exponential envelope exp(-w/w_c) is below 1e-26 beyond this many cutoffs.
-_TAIL_CUTOFFS = 60.0
+_HEAD_CUTOFFS = 20.0  # the bath integral's first part: 20 + 5s cutoffs,
+_TAIL_CUTOFFS = 60.0  # extended by a tail bound up to 60 + 5s (tail < 1e-26)
+_TAIL_SHARE = 0.01  # of the tolerance, left to the tail beyond the domain
 _ENVELOPE_KNEE = 1.0  # breakpoint at the exp(-x) envelope's scale
 _MAX_BREAKPOINTS = 4000  # half-period breakpoints, so panel counts stay bounded
 
@@ -44,8 +45,9 @@ class SpectralParams:
     omega_c: float = 1.0
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError(f"Ohmicity exponent must be positive, got s={self.s}")
+        if not self.s - 1.0 > -1.0:  # s - 1 = -1 is a pole of Euler's Gamma
+            raise ValueError("Ohmicity exponent must be positive, with s - 1 "
+                             f"above -1 (Euler Gamma's pole), got s={self.s}")
         if self.eta < 0:
             raise ValueError(f"coupling must be nonnegative, got eta={self.eta}")
         if not self.omega_c > 0:
@@ -131,34 +133,47 @@ def gamma0_derivative(p: SpectralParams, t):
     return _maybe_scalar(out, t)
 
 
-def bath_integral(p: SpectralParams, t, weight, tol):
+def _log_tail_bound(s, x):
+    """log of a bound >= int_x^inf y^(s-2) e^(-y) dy for x > max(0, s - 2)."""
+    return (s - 2.0) * math.log(x) - x - math.log1p(-max(0.0, s - 2.0) / x)
+
+
+def bath_integral(p: SpectralParams, t, weight, weight_sup, tol):
     """eta * int x^(s-2) e^(-x) weight(x) dx in x = w/w_c: J(w)/w^2 times a
     filter ``weight``, a vectorized callable of x whose fastest
     oscillation is e^(i x w_c t), integrated to relative tolerance ``tol``.
 
-    The domain [0, 60 + 5s] leaves a tail below 1e-26 and is split at the
-    envelope knee x = 1 and at most 4000 half-periods pi/(w_c t).  Exactly
-    0.0 at t = 0 or eta = 0.  Raises ValueError for t < 0 or a ``tol`` that
-    is not positive and finite, QuadratureError on non-convergence.
+    The domain [0, 20 + 5s] grows in unit steps, to 60 + 5s at most, until
+    W X^(s-2) e^(-X) / (1 - max(0, s - 2)/X), W = ``weight_sup`` >= weight
+    on [0, 60 + 5s], bounds the tail past X by 1% of ``tol`` times the
+    integral so far.  Split at x = 1 and at most 4000 half-periods
+    pi/(w_c t).  0.0 at t = 0 or eta = 0.  Raises ValueError for t < 0 or
+    a bad ``tol``, QuadratureError on non-convergence.
     """
     t = float(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0.0 or p.eta == 0.0:
         return 0.0
-    u = p.omega_c * t
-    upper = _TAIL_CUTOFFS + 5.0 * p.s
+    u, upper = p.omega_c * t, _TAIL_CUTOFFS + 5.0 * p.s
 
     def integrand(x):
         with np.errstate(divide="ignore", invalid="ignore"):
             val = x ** (p.s - 2.0) * np.exp(-x) * weight(x)
         return np.where(x > 0, val, 0.0)
 
-    pts = np.array([_ENVELOPE_KNEE])
-    if u > 0.0:  # w_c t underflows to 0 for tiny t
-        step = max(np.pi / u, upper / _MAX_BREAKPOINTS)
-        pts = np.concatenate((pts, np.arange(step, upper, step)))
-    return p.eta * adaptive_panel_quad(integrand, 0.0, upper, pts, rel_tol=tol)
+    # no half-period where w_c t underflows to 0 for tiny t
+    step = max(np.pi / u, upper / _MAX_BREAKPOINTS) if u > 0.0 else upper
+    pts = np.append(_ENVELOPE_KNEE, np.arange(step, upper, step))
+    head = end = _HEAD_CUTOFFS + 5.0 * p.s
+    total = adaptive_panel_quad(integrand, 0.0, head, pts, rel_tol=tol)
+    # in logs; a zero integral or a budget below 1e-300 keeps all 60 + 5s
+    budget = math.log(max(_TAIL_SHARE * tol * abs(total) / weight_sup, 1e-300))
+    while end < upper and _log_tail_bound(p.s, end) > budget:
+        end = min(end + 1.0, upper)
+    if end > head:
+        total += adaptive_panel_quad(integrand, head, end, pts, rel_tol=tol)
+    return p.eta * total
 
 
 def gamma0_quadrature(p: SpectralParams, t, tol=1e-10):
@@ -166,7 +181,7 @@ def gamma0_quadrature(p: SpectralParams, t, tol=1e-10):
 
     Independent oracle for :func:`gamma0_analytic`: :func:`bath_integral`
     of the weight 2 sin^2(x w_c t / 2), the half-angle form of 1 - cos,
-    which avoids its cancellation.
+    which avoids its cancellation; its supremum W is 2.
     """
-    u = p.omega_c * float(t)
-    return bath_integral(p, t, lambda x: 2.0 * np.sin(0.5 * u * x) ** 2, tol)
+    h = 0.5 * p.omega_c * float(t)
+    return bath_integral(p, t, lambda x: 2.0 * np.sin(h * x) ** 2, 2.0, tol)

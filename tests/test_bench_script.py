@@ -126,3 +126,23 @@ def test_the_cases_hold_every_config(bench, monkeypatch):
     assert cases["import"] == ["-c", "import dephasing_pdd"]
     assert "fig2_sweep_nonmarkovian_n5000" in cases
     assert "fig2_sweep_nonmarkovian_n10000" in cases
+
+
+def test_oracle_repeats_are_normalized_by_the_kernel(bench, monkeypatch):
+    # the kernel runs before a group's repeats and after each one, and
+    # each repeat's per-call time is scaled by the kernel runs around it
+    monkeypatch.setattr(bench.sys, "path", list(bench.sys.path))
+    monkeypatch.syspath_prepend(str(HERE.parent / "perfbench"))
+    import bench_speed
+    runs = []
+    monkeypatch.setattr(bench_speed, "kernel", lambda: runs.append(1))
+    monkeypatch.setattr(bench, "ORACLE_REPEATS", {"a": 3, "b": 2})
+    monkeypatch.setattr(bench, "oracle_calls",
+                        lambda dp: {"a": [lambda: 1.0, lambda: 2.0],
+                                    "b": [lambda: 3.0]})
+    report = bench.oracle_report()
+    assert len(runs) == (1 + 3) + (1 + 2)
+    assert report["a"]["values"] == [1.0, 2.0]
+    for group in ("a", "b"):
+        assert report[group]["time_per_call_s"] > 0.0
+        assert report[group]["time_per_call_norm_s"] > 0.0

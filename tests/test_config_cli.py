@@ -287,6 +287,14 @@ class TestCli:
         for name in ("min_points", "points_per_interval", "n_pulses"):
             assert name in err
 
+    def test_euler_gamma_pole_names_s(self, capsys):
+        # s > 0 passes the config, but s - 1 rounds to -1, a pole of
+        # Euler's Gamma: the bath refuses it by name
+        assert cli.main(["trace", "--s", "1e-300"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Ohmicity exponent")
+        assert "got s=1e-300" in err
+
     def test_underflowing_pulse_spacing_is_numerical_failure(self, capsys):
         # at tau_f = 5e-324 the pulse instants underflow to equal values
         assert cli.main(["trace", "--tau-f", "5e-324",

@@ -295,8 +295,10 @@ class TestSignRate:
             signs = cumulative_total_variation(
                 q_of_t, ts, q_of_t(ts), sched.instants,
                 SignRate(dephasing, ProtocolTag.Q11))
+            # dQ/dt without the SignRate it carries: the exact route
             exact = cumulative_total_variation(q_of_t, ts, q_of_t(ts),
-                                               sched.instants, qdot_of_t)
+                                               sched.instants,
+                                               lambda t: qdot_of_t(t))
             assert signs == pytest.approx(exact, rel=1e-12, abs=0.0)
         # the uneven train asks for the table and gets no rows
         assert {s is uneven for s, _, _ in calls} == {True, False}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_quadrature import gamma0_mp
+from test_spectral import full_domain
 
 from dephasing_pdd import pulses
 from dephasing_pdd.pulses import (ControlledDecoherence, PulseSchedule,
@@ -297,6 +298,24 @@ class TestFilterFunctionOracle:
             ref = controlled_gamma_quadrature(p, sched, t)
             assert gamma(t) == pytest.approx(ref, rel=1e-7)
 
+    @pytest.mark.parametrize("n,s,tau_f", [
+        (2, 0.5, 10.0), (2, 3.0, 10.0), (20, 1.0, 10.0), (20, 3.0, 10.0),
+        (1000, 1.0, 10.0), (1000, 3.0, 10.0), (1000, 3.0, 1001 * np.pi / 40)],
+        ids=["n2_s0.5", "n2_s3", "n20_s1", "n20_s3", "n1000_s1", "n1000_s3",
+             "n1000_s3_resonance_at_x40"])
+    def test_truncated_oracle_matches_the_full_domain(self, n, s, tau_f,
+                                                      monkeypatch):
+        # the last train puts the filter's first resonance, pi/delta, at
+        # x = 40: |f_n|^2 / 2 there nears its bound 2 (n + 1)^2, and a
+        # bound that took the weight for 2 would end the domain before it
+        p, sched, tol = SpectralParams(s, 0.5), pdd_schedule(n, tau_f), 1e-9
+        delta = tau_f / (n + 1)
+        for t in (tau_f / 2 + delta / 4, tau_f - delta / 2, 2 * tau_f):
+            full = full_domain(monkeypatch, controlled_gamma_quadrature, p,
+                               sched, t, tol=tol)
+            assert controlled_gamma_quadrature(p, sched, t, tol=tol) == \
+                pytest.approx(full, rel=2.0 * tol, abs=0.0)
+
     def test_trivial_cases(self):
         sched = pdd_schedule(2, 10.0)
         assert controlled_gamma_quadrature(OHMIC, sched, 0.0) == 0.0
@@ -330,7 +349,7 @@ class TestFilterFunctionOracle:
                 f[lo:lo + 256] += (phases * signs).sum(axis=1)
             return 0.5 * np.abs(f) ** 2
 
-        return bath_integral(p, t, weight, 1e-9)
+        return bath_integral(p, t, weight, 2.0 * (taus.size + 1) ** 2, 1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 20, 1000])
     def test_recurrence_matches_per_pulse_exponentials_on_the_train(self, n):
@@ -376,13 +395,13 @@ class TestFilterFunctionOracle:
 
         counting, per_call = CountingNumpy(), []
 
-        def counted_integral(p, t, weight, tol):
+        def counted_integral(p, t, weight, weight_sup, tol):
             def counted(x):
                 before = counting.exp_calls
                 out = weight(x)
                 per_call.append(counting.exp_calls - before)
                 return out
-            return bath_integral(p, t, counted, tol)
+            return bath_integral(p, t, counted, weight_sup, tol)
 
         monkeypatch.setattr(pulses, "np", counting)
         monkeypatch.setattr(pulses, "bath_integral", counted_integral)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from dephasing_pdd import qsl
 from dephasing_pdd.dynamics import (ControlProtocol, Dephasing, ProtocolTag,
                                     SignRate, TwoQubitState,
                                     attenuation_functions,
@@ -192,6 +193,7 @@ class TestTotalVariation:
         dephasing = Dephasing(SpectralParams(s, 0.5), sched)
         q, qd = dephasing.functions(ProtocolTag(tag))
         rate = SignRate(dephasing, ProtocolTag(tag))
+        qd = lambda t, qd=qd: qd(t)  # dQ/dt without the SignRate it carries
         signs = _nodes(q, rate, 0.0, 30.0, sched.instants, 0.0)
         exact = _nodes(q, qd, 0.0, 30.0, sched.instants, 0.0)
         assert len(signs) == len(exact) >= n + 2
@@ -202,6 +204,22 @@ class TestTotalVariation:
             cumulative_total_variation(q, ts, q(ts), sched.instants,
                                        qdot_of_t=qd),
             rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("tag", ["Q00", "Q10", "Q11"])
+    def test_api_rate_searches_on_its_sign_rate(self, tag, monkeypatch):
+        # attenuation_functions' dQ/dt carries its SignRate, so the search
+        # scans the rate table and refines on the rate, as the runner does
+        p = SpectralParams(3.0, 0.5)
+        q, qd = protocol_functions(tag, p)
+        rate = SignRate(Dephasing(p, SCHED), ProtocolTag(tag))
+        found, nodes = [], qsl._nodes
+        monkeypatch.setattr(qsl, "_nodes", lambda *args: found.append(
+            nodes(*args)) or found[-1])
+        tvs = [total_variation(q, 20.0, SCHED.instants, qdot_of_t=f)
+               for f in (qd, rate)]
+        assert len(found[0]) > len(SCHED.instants) + 2
+        assert np.array_equal(found[0], found[1])
+        assert tvs[0] == tvs[1]
 
     def test_cumulative_matches_pointwise(self):
         q, qd = protocol_functions("Q11", SpectralParams(3.0, 0.5))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,14 @@ from dephasing_pdd.spectral import (SpectralParams, bath_integral,
 
 BATHS = [SpectralParams(0.5, 0.1), SpectralParams(1.0, 0.5),
          SpectralParams(3.0, 0.5), SpectralParams(2.0, 0.3, omega_c=2.0)]
+
+
+def full_domain(monkeypatch, oracle, *args, tol):
+    """``oracle(*args)`` over the whole [0, 60 + 5s] in one call, at
+    tol / 100: the domain that no tail bound shortens."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_HEAD_CUTOFFS", spectral._TAIL_CUTOFFS)
+        return oracle(*args, tol=tol / 100)
 
 
 class TestSpectralParams:
@@ -157,29 +166,61 @@ class TestBathIntegral:
     @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
     def test_moment_is_euler_gamma(self, s):
         # weight x^2 leaves eta * int x^s e^-x dx = eta Gamma(s + 1); the
-        # tail cut at 60 + 5s cutoffs is below 1e-26
+        # weight stays below (60 + 5s)^2 on the domain
         p = SpectralParams(s, 0.5)
-        got = bath_integral(p, 1.0, lambda x: x * x, tol=1e-13)
+        got = bath_integral(p, 1.0, lambda x: x * x, (60.0 + 5.0 * s) ** 2,
+                            tol=1e-13)
         assert got == pytest.approx(0.5 * math.gamma(s + 1.0), rel=2e-12)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+    def test_tail_bound_is_above_the_exact_tail(self, s):
+        # int_X^inf x^(s-2) e^-x dx is the upper incomplete Gamma(s-1, X)
+        for x in (1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 75.0):
+            exact = mpmath.gammainc(s - 1.0, x)
+            bound = math.exp(spectral._log_tail_bound(s, x))
+            assert bound >= exact
+            assert bound <= 2.0 * exact  # and tight enough to cut early
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+    def test_truncated_gamma0_matches_the_full_domain(self, s, monkeypatch):
+        p, tol = SpectralParams(s, 0.5), 1e-9
+        for t in (0.05, 0.7, 3.7, 10.0, 24.3, 80.0):
+            full = full_domain(monkeypatch, gamma0_quadrature, p, t, tol=tol)
+            assert gamma0_quadrature(p, t, tol=tol) == pytest.approx(
+                full, rel=2.0 * tol, abs=0.0)
+
+    @pytest.mark.parametrize("weight_sup,weight", [
+        (1e300, np.ones_like), (1.0, np.zeros_like)],
+        ids=["huge_bound", "zero_integral"])
+    def test_domain_ends_at_60_plus_5s_at_the_latest(self, weight_sup, weight,
+                                                     monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            spectral, "adaptive_panel_quad",
+            lambda f, a, b, pts, rel_tol: seen.append((a, b))
+            or adaptive_panel_quad(f, a, b, pts, rel_tol=rel_tol))
+        bath_integral(BATHS[2], 10.0, weight, weight_sup, 1e-9)
+        assert seen == [(0.0, 35.0), (35.0, 75.0)]
 
     def test_zero_time_and_zero_coupling_and_negative_time(self):
         weight = np.ones_like
-        assert bath_integral(BATHS[1], 0.0, weight, 1e-10) == 0.0
-        assert bath_integral(SpectralParams(1.0, 0.0), 5.0, weight,
+        assert bath_integral(BATHS[1], 0.0, weight, 1.0, 1e-10) == 0.0
+        assert bath_integral(SpectralParams(1.0, 0.0), 5.0, weight, 1.0,
                              1e-10) == 0.0
         with pytest.raises(ValueError, match="nonnegative"):
-            bath_integral(BATHS[1], -1.0, weight, 1e-10)
+            bath_integral(BATHS[1], -1.0, weight, 1.0, 1e-10)
 
     def test_underflowing_frequency_takes_the_knee_alone(self, monkeypatch):
-        # w_c t = 1e-300 * 1e-300 underflows to 0: no half-period exists
+        # w_c t = 1e-300 * 1e-300 underflows to 0: no half-period exists,
+        # in the first part or in the extension up to the tail bound
         seen = []
         monkeypatch.setattr(
             spectral, "adaptive_panel_quad",
             lambda f, a, b, pts, rel_tol: seen.append(list(pts))
             or adaptive_panel_quad(f, a, b, pts, rel_tol=rel_tol))
         p = SpectralParams(1.0, 0.5, omega_c=1e-300)
-        got = bath_integral(p, 1e-300, lambda x: x * x, tol=1e-12)
-        assert seen == [[1.0]]
+        got = bath_integral(p, 1e-300, lambda x: x * x, 65.0 ** 2, tol=1e-12)
+        assert seen == [[1.0], [1.0]]
         assert got == pytest.approx(0.5, rel=1e-11)
 
 
