@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Before/after timings of the package import, the figure commands, the
-controlled Gamma and the quadrature oracles, in pairs of fresh processes.
+controlled Gamma, the quadrature oracles and the two QSL bounds of one
+trajectory (``qslt_pair``), in pairs of fresh processes.
 
 Each run is a fresh process with PYTHONPATH set to one source tree.  With
 ``--src OTHER/src`` every case runs as pairs, the ``--src`` tree first on
@@ -47,7 +48,8 @@ CONSTRUCTION_NS = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
 CONSTRUCTION_TIMEOUT_S = 300
 WORKER = (f"import sys; sys.path.append({str(REPO / 'scripts')!r}); "
           "import bench, json; print(json.dumps(bench.{}))")
-ORACLE_REPEATS = {"gamma0": 15, "filter": 15, "mlmt": 15, "filter_n1000": 3}
+ORACLE_REPEATS = {"gamma0": 15, "filter": 15, "mlmt": 15, "qslt_pair": 15,
+                  "filter_n1000": 3}
 ETA = 0.5
 TAU_F = 10.0
 S_VALUES = (1.0, 3.0)
@@ -178,17 +180,31 @@ def oracle_calls(dp):
                     dp.pulses.controlled_gamma_quadrature, p, sched, t,
                     tol=1e-8))
         for tag, n in (("Q10", 5), ("Q11", 2)):
-            sched = dp.pulses.pdd_schedule(n, TAU_F)
-            q_of_t, qdot_of_t = dp.dynamics.attenuation_functions(
-                dp.dynamics.ControlProtocol(dp.dynamics.ProtocolTag(tag),
-                                            sched), p)
-            out["mlmt"].append(functools.partial(
-                dp.qsl.qslt_general, dp.dynamics.singlet(), q_of_t,
-                qdot_of_t, 5.5, breakpoints=sched.instants, rel_tol=1e-9))
+            for group, ratio_first in (("mlmt", False), ("qslt_pair", True)):
+                out[group].append(functools.partial(
+                    qslt_on_fresh_pair, dp, p, tag, n, ratio_first))
         out["filter_n1000"].append(functools.partial(
             dp.pulses.controlled_gamma_quadrature, p,
             dp.pulses.pdd_schedule(1000, TAU_F), N1000_T))
     return out
+
+
+def qslt_on_fresh_pair(dp, p, tag, n, ratio_first):
+    """qslt_general of the singlet on [0, 5.5] on a new
+    ``attenuation_functions`` pair, after qslt_ratio on the same pair when
+    ``ratio_first`` (a perfbench qslt item's shape).  A pair's sign rate
+    keeps the nodes it searched, so a repeat on one pair would time the
+    quadrature alone."""
+    sched = dp.pulses.pdd_schedule(n, TAU_F)
+    q_of_t, qdot_of_t = dp.dynamics.attenuation_functions(
+        dp.dynamics.ControlProtocol(dp.dynamics.ProtocolTag(tag), sched), p)
+    rho0 = dp.dynamics.singlet()
+    if ratio_first:
+        dp.qsl.qslt_ratio(dp.qsl.QslInputs(
+            dp.qsl.phi0(rho0), q_of_t, tau_d=5.5, breakpoints=sched.instants,
+            qdot_of_t=qdot_of_t), 5.5, rel_tol=1e-9)
+    return dp.qsl.qslt_general(rho0, q_of_t, qdot_of_t, 5.5,
+                               breakpoints=sched.instants, rel_tol=1e-9)
 
 
 def construction(n):

@@ -16,6 +16,8 @@ import numpy as np
 from .dynamics import TRACE_ATOL, TwoQubitState
 
 _BLOCK_RTOL = 1e-12  # relative, so zero populations need zero coherence
+_SY = np.array([[0, -1j], [1j, 0]])
+_YY = np.kron(_SY, _SY)
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,8 @@ def concurrence_x(x: XStateSummary):
 
 def concurrence_wootters(rho: TwoQubitState) -> float:
     """Wootters concurrence from the eigenvalues of rho (sy x sy) rho* (sy x sy)."""
-    sy = np.array([[0, -1j], [1j, 0]])
-    yy = np.kron(sy, sy)
     m = rho.matrix
-    r = m @ yy @ m.conj() @ yy
+    r = m @ _YY @ m.conj() @ _YY
     lam = np.linalg.eigvals(r)
     # tiny negative/imaginary parts are eigen-solver noise on a PSD spectrum
     lam = np.sqrt(np.abs(np.sort(lam.real)[::-1]))

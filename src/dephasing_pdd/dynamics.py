@@ -165,9 +165,10 @@ class Dephasing:
         controlled Gamma of the pulse train's segments comes from one
         table (:meth:`ControlledDecoherence.on_grid`).
 
-        Raises FloatingPointError where an exponent is not finite: it
-        overflows, or meets inf - inf or 0 * inf.  Q = 0 from underflow
-        is a value."""
+        Raises FloatingPointError where an exponent is not finite (it
+        overflows, or meets inf - inf or 0 * inf) or below -1e-12, a Q > 1
+        that only rounding makes (Gamma0's cancellation as s -> 0).  Q = 0
+        from underflow is a value."""
         with np.errstate(over="ignore", invalid="ignore"):
             free = self.free(t)
             controlled = (None if self.controlled is None
@@ -176,11 +177,13 @@ class Dephasing:
             gammas = {tag: self.exponent_sum(tag, free, controlled)
                       for tag in ProtocolTag}
         for tag, gamma in gammas.items():
-            bad = ~np.isfinite(gamma)
+            bad = ~(np.isfinite(gamma) & (gamma >= -1e-12))
             if bad.any():
+                g = np.asarray(gamma)[bad][0]
                 raise FloatingPointError(
-                    f"the decoherence exponent of {tag.value} is not finite "
-                    f"at t = {np.asarray(t)[bad][0]:.9g}")
+                    f"the decoherence exponent of {tag.value} is "
+                    f"{'negative (Q > 1)' if np.isfinite(g) else 'not finite'}"
+                    f" at t = {np.asarray(t)[bad][0]:.9g}")
         return {tag: np.exp(-gamma) for tag, gamma in gammas.items()}
 
     def functions(self, tag: ProtocolTag):
@@ -209,6 +212,8 @@ class SignRate:
     (:meth:`ControlledDecoherence.derivative` with ``plus_base``).  A call
     takes the exact route; ``scan`` reads the equidistant train's segments
     off the rate table of :meth:`ControlledDecoherence.on_segments`.
+    ``nodes``: the nodes of each window searched on this rate, filled by
+    ``qsl._nodes``; each :meth:`Dephasing.functions` call makes a new rate.
     """
 
     def __init__(self, dephasing: Dephasing, tag: ProtocolTag):
@@ -217,6 +222,7 @@ class SignRate:
         self._plus_base = pulsed == 1
         self._gamma = dephasing.controlled if pulsed else None
         self._free_dot = dephasing.free_dot
+        self.nodes = {}
 
     def __call__(self, t):
         if self._gamma is None:

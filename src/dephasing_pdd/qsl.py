@@ -5,7 +5,8 @@ Three routes are implemented and cross-checked against each other:
 * the X-state closed form  tau_QSL / tau_d = Phi0 |1 - Q(t)| / int |dQ/dt|,
   with the denominator computed as the total variation of Q: sum |dQ|
   over the pulse instants and the extrema of Q, which one batched
-  extrema finder locates for every caller from the sign of dQ/dt alone;
+  extrema finder locates for every caller from the sign of dQ/dt alone,
+  once per sign rate, window and tolerance (:func:`_nodes`);
 * its analytic upper bound  Phi0 (1 - Q(t)) / (1 - Q(tau_d)), tight whenever
   Q is monotone on the window;
 * the general open-system ML/MT bound built from the singular values of
@@ -228,7 +229,10 @@ def _extrema(q_of_t, qdot_of_t, a, b, rel_tol):
 
 def _nodes(q_of_t, qdot_of_t, t_start, t_end, breakpoints, rel_tol):
     """Segment edges plus every extremum of Q on [t_start, t_end], sorted:
-    Q is monotone between consecutive nodes."""
+    Q is monotone between consecutive nodes.  A ``SignRate`` (carried as
+    ``sign_rate`` or passed itself) keeps each read-only result in its
+    ``nodes``, keyed by (edges bytes, ``rel_tol``), so every bound on one
+    window reads one search; other callables search on every call."""
     if np.isnan(rel_tol):  # it would stall the refinement; 0 means 4 eps
         raise ValueError("rel_tol must not be nan")
     if not np.isfinite([t_start, t_end]).all():  # a nan scan never settles
@@ -237,8 +241,13 @@ def _nodes(q_of_t, qdot_of_t, t_start, t_end, breakpoints, rel_tol):
         x for x in breakpoints if t_start < x < t_end)}), dtype=float)
     if len(edges) < 2:
         return edges
-    roots = _extrema(q_of_t, qdot_of_t, edges[:-1], edges[1:], rel_tol)
-    return np.unique(np.concatenate((edges, roots)))
+    memo = getattr(getattr(qdot_of_t, "sign_rate", qdot_of_t), "nodes", {})
+    key = (edges.tobytes(), rel_tol)
+    if key not in memo:
+        roots = _extrema(q_of_t, qdot_of_t, edges[:-1], edges[1:], rel_tol)
+        memo[key] = nodes = np.unique(np.concatenate((edges, roots)))
+        nodes.flags.writeable = False
+    return memo[key]
 
 
 def total_variation(q_of_t, t_end, breakpoints=(), t_start=0.0,

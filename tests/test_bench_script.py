@@ -146,3 +146,23 @@ def test_oracle_repeats_are_normalized_by_the_kernel(bench, monkeypatch):
     for group in ("a", "b"):
         assert report[group]["time_per_call_s"] > 0.0
         assert report[group]["time_per_call_norm_s"] > 0.0
+
+
+def test_each_qsl_call_searches_on_a_fresh_pair(bench, monkeypatch):
+    # a pair's SignRate keeps the nodes it searched, so a repeated call on
+    # one pair would time the quadrature alone; qslt_pair's ratio and
+    # general bound share one search, as in a perfbench qslt item
+    import dephasing_pdd as dp
+    scans, scan = [], dp.dynamics.SignRate.scan
+    monkeypatch.setattr(dp.dynamics.SignRate, "scan", lambda self, *args: (
+        scans.append(self) or scan(self, *args)))
+    calls = bench.oracle_calls(dp)
+    per_call = {}
+    for group in ("mlmt", "qslt_pair"):
+        assert len(calls[group]) == 4
+        start = len(scans)
+        values = [calls[group][0]() for _ in range(2)]
+        assert values[0] == values[1]
+        per_call[group] = (len(scans) - start) / 2
+        assert len(set(scans[start:])) == 2  # one rate per call
+    assert per_call["mlmt"] == per_call["qslt_pair"] >= 1

@@ -253,6 +253,22 @@ class TestCli:
         assert "numerical failure: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("state", ["bell_phi_plus", "singlet"])
+    def test_negative_exponent_is_numerical_failure(self, state, tmp_path,
+                                                    capsys):
+        # Gamma0's closed form cancels as s -> 0: at s = 1e-16 the free
+        # Gamma_1 + Gamma_2 is about -1 from t = 0.02 on, so Q00 = e
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["trace", "--s", "1e-16", "--n-pulses", "2",
+                             "--initial-state", state,
+                             "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: the decoherence exponent of Q00 is negative "
+            "(Q > 1) at t = 0.02\n")
+        assert not out.exists()
+
     def test_underflowing_q_is_a_value(self, capsys):
         # Q = exp(-Gamma) rounds to 0 at a huge coupling: a finite value
         assert cli.main(["trace", "--eta", "1e300", "--tau-d", "12",

@@ -137,6 +137,17 @@ class TestAttenuationFactors:
             assert np.array_equal(cols[tag], q_of_t(ts))
         assert np.array_equal(cols[ProtocolTag.Q01], cols[ProtocolTag.Q10])
 
+    @pytest.mark.parametrize("t", [0.1, np.array([0.0, 0.05, 0.1, 5.0])])
+    def test_negative_exponent_names_tag_and_time(self, t):
+        # at s = 1e-16 Gamma0's closed form cancels: it reads 0 at t = 0.05,
+        # -0.5 at 0.1 (Q00 = e) and 3 at 5
+        dephasing = Dephasing(SpectralParams(1e-16, 0.5),
+                              pdd_schedule(2, 10.0))
+        with pytest.raises(FloatingPointError, match=(
+                r"^the decoherence exponent of Q00 is negative \(Q > 1\) "
+                r"at t = 0.1$")):
+            dephasing.q_columns(t)
+
     def test_columns_evaluate_gamma0_once_without_pulses(self, monkeypatch):
         points = []
 

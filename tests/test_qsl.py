@@ -233,6 +233,71 @@ class TestTotalVariation:
             assert c == pytest.approx(ref, rel=1e-9)
 
 
+class TestSharedNodes:
+    """One extrema search per (sign rate, window, rel_tol): the bounds on
+    one trajectory read the nodes kept in its SignRate."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls, scan = [], SignRate.scan
+        monkeypatch.setattr(SignRate, "scan", lambda self, *args: (
+            calls.append(args) or scan(self, *args)))
+        return calls
+
+    @staticmethod
+    def bounds(q, qd, te=7.0):
+        """The four bounds on [0, te] of one (Q, dQ/dt) pair, as calls."""
+        inputs = QslInputs(phi0(singlet()), q, tau_d=te,
+                           breakpoints=SCHED.instants, qdot_of_t=qd)
+        return [lambda: qslt_ratio(inputs, te),
+                lambda: qslt_upper_bound(inputs, te),
+                lambda: qslt_general(singlet(), q, qd, te, SCHED.instants,
+                                     rel_tol=1e-9),
+                lambda: total_variation(q, te, SCHED.instants, qdot_of_t=qd)]
+
+    @pytest.mark.parametrize("tag", ["Q00", "Q10", "Q11"])
+    def test_bounds_on_one_pair_share_one_search(self, tag, scans):
+        p = SpectralParams(3.0, 0.5)
+        shared = [f() for f in self.bounds(*protocol_functions(tag, p))]
+        assert len(scans) == 1
+        for k, value in enumerate(shared):
+            # bound k alone on a pair of its own
+            fresh = self.bounds(*protocol_functions(tag, p))[k]()
+            assert value.hex() == fresh.hex()
+        assert len(scans) == 1 + len(shared)
+
+    def test_other_window_or_tolerance_searches_again(self, scans):
+        q, qd = protocol_functions("Q11", SpectralParams(3.0, 0.5))
+        for t_end, rel_tol, searched in [(7.0, 1e-9, 1), (9.0, 1e-9, 2),
+                                         (7.0, 1e-6, 3), (7.0, 0.0, 4),
+                                         (9.0, 1e-9, 4), (7.0, 1e-6, 4)]:
+            total_variation(q, t_end, SCHED.instants, rel_tol=rel_tol,
+                            qdot_of_t=qd)
+            assert len(scans) == searched
+        assert len(qd.sign_rate.nodes) == 4
+
+    def test_nodes_are_read_only(self):
+        q, qd = protocol_functions("Q10", SpectralParams(3.0, 0.5))
+        nodes = _nodes(q, qd, 0.0, 7.0, SCHED.instants, 1e-9)
+        assert _nodes(q, qd, 0.0, 7.0, SCHED.instants, 1e-9) is nodes
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[1] = 0.0
+
+    def test_plain_callables_never_memoize(self, monkeypatch):
+        q, qd = protocol_functions("Q11", SpectralParams(3.0, 0.5))
+        plain = lambda t: qd(t)  # dQ/dt without the SignRate it carries
+        searches, extrema = [], qsl._extrema
+        monkeypatch.setattr(qsl, "_extrema", lambda *args: (
+            searches.append(args[1]) or extrema(*args)))
+        for route in (plain, None):
+            first = _nodes(q, route, 0.0, 7.0, SCHED.instants, 1e-9)
+            again = _nodes(q, route, 0.0, 7.0, SCHED.instants, 1e-9)
+            assert again is not first
+            assert np.array_equal(again, first)
+        assert searches == [plain, plain, None, None]
+        assert not qd.sign_rate.nodes
+
+
 class TestQsltRatio:
     def test_free_ohmic_baseline_is_one(self):
         # monotone Q: numerator Phi0 (1 - Q) equals the total variation
