@@ -63,7 +63,7 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10):
         Integration limits, a < b.
     breakpoints : array_like of float
         Interior points where panels must not straddle (oscillation
-        half-periods, envelope scales).  Values outside (a, b) are ignored.
+        periods, envelope scales).  Values outside (a, b) are ignored.
     rel_tol : float
         Target: summed panel error below ``rel_tol * |integral|``; a
         positive finite number.

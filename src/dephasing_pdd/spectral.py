@@ -11,8 +11,9 @@ s = 1 logarithmic limit handled separately) and an independent adaptive
 quadrature of the defining integral are provided; the quadrature acts as
 the oracle in the test suite.  It is one case of :func:`bath_integral`,
 J(w)/w^2 times a control's filter |f(w, t)|^2 (the other: the pulse train
-of :mod:`.pulses`), cut where a tail bound from the filter's supremum
-meets the tolerance.  Times are dimensionless multiples of 1/w_c.
+of :mod:`.pulses`), split at whole periods of its fastest oscillation and
+cut where a tail bound from the filter's supremum meets the tolerance.
+Times are dimensionless multiples of 1/w_c.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _HEAD_CUTOFFS = 20.0  # the bath integral's first part: 20 + 5s cutoffs,
 _TAIL_CUTOFFS = 60.0  # extended by a tail bound up to 60 + 5s (tail < 1e-26)
 _TAIL_SHARE = 0.01  # of the tolerance, left to the tail beyond the domain
 _ENVELOPE_KNEE = 1.0  # breakpoint at the exp(-x) envelope's scale
-_MAX_BREAKPOINTS = 4000  # half-period breakpoints, so panel counts stay bounded
+_MAX_BREAKPOINTS = 4000  # whole periods at most, so panel counts stay bounded
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,9 @@ def bath_integral(p: SpectralParams, t, weight, weight_sup, tol):
     The domain [0, 20 + 5s] grows in unit steps, to 60 + 5s at most, until
     W X^(s-2) e^(-X) / (1 - max(0, s - 2)/X), W = ``weight_sup`` >= weight
     on [0, 60 + 5s], bounds the tail past X by 1% of ``tol`` times the
-    integral so far.  Split at x = 1 and at most 4000 half-periods
-    pi/(w_c t).  0.0 at t = 0 or eta = 0.  Raises ValueError for t < 0 or
-    a bad ``tol``, QuadratureError on non-convergence.
+    integral so far.  Split at x = 1 and at most 4000 whole periods
+    2 pi/(w_c t).  0.0 at t = 0 or eta = 0.  Raises ValueError for t < 0
+    or a bad ``tol``, QuadratureError on non-convergence.
     """
     t = float(t)
     if t < 0:
@@ -162,8 +163,9 @@ def bath_integral(p: SpectralParams, t, weight, weight_sup, tol):
             val = x ** (p.s - 2.0) * np.exp(-x) * weight(x)
         return np.where(x > 0, val, 0.0)
 
-    # no half-period where w_c t underflows to 0 for tiny t
-    step = max(np.pi / u, upper / _MAX_BREAKPOINTS) if u > 0.0 else upper
+    # whole periods; none where w_c t underflows to 0 or the period overflows
+    period = 2.0 * np.pi / u if u > 0.0 else upper
+    step = min(max(period, upper / _MAX_BREAKPOINTS), upper)
     pts = np.append(_ENVELOPE_KNEE, np.arange(step, upper, step))
     head = end = _HEAD_CUTOFFS + 5.0 * p.s
     total = adaptive_panel_quad(integrand, 0.0, head, pts, rel_tol=tol)

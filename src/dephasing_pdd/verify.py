@@ -2,13 +2,14 @@
 identities the test suite relies on, runnable from the CLI (`verify`).
 
 Each check returns its worst measured error next to the threshold it must
-stay under, so a report line reads like
-``spectral_oracle: PASS (measured 3.1e-09 < 1e-06)``.
+stay under (``record()`` adds its wall time, for ``verify --json``), so a
+report line reads like ``spectral_oracle: PASS (measured 3.1e-09 < 1e-06)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -30,10 +31,14 @@ class CheckResult:
     name: str
     measured: float
     threshold: float
+    elapsed_s: float = 0.0  # wall time of the check function
 
     @property
     def passed(self):
-        return self.measured < self.threshold
+        return bool(self.measured < self.threshold)
+
+    def record(self):
+        return {**asdict(self), "passed": self.passed}
 
     def line(self):
         verdict = "PASS" if self.passed else "FAIL"
@@ -181,14 +186,16 @@ def check_baseline_degeneracy():
 
 
 def run_checks():
-    return [
-        check_spectral_oracle(),
-        check_filter_oracle(),
-        check_hand_anchor(),
-        check_continuity(),
-        check_train_table(),
-        *check_protocol_identities(),
-        check_concurrence_oracle(),
-        check_qslt_bounds(),
-        check_baseline_degeneracy(),
-    ]
+    """Every result in report order, each with the wall time of its check
+    function (the two protocol identities share one)."""
+    results = []
+    for check in (check_spectral_oracle, check_filter_oracle,
+                  check_hand_anchor, check_continuity, check_train_table,
+                  check_protocol_identities, check_concurrence_oracle,
+                  check_qslt_bounds, check_baseline_degeneracy):
+        start = time.perf_counter()
+        out = check()
+        elapsed = time.perf_counter() - start
+        results += [replace(r, elapsed_s=elapsed)
+                    for r in (out if isinstance(out, list) else [out])]
+    return results

@@ -2,7 +2,9 @@
 
 import cmath
 import contextlib
+import functools
 import io
+import json
 import math
 import warnings
 from dataclasses import fields
@@ -19,6 +21,12 @@ from dephasing_pdd.verify import CheckResult
 
 # what a stubbed run returns: no header, no rows
 EMPTY_RUN = ([], Table([[]], [True]))
+# `verify`'s checks in report order
+VERIFY_CHECKS = [
+    "spectral_oracle", "filter_oracle", "hand_anchor",
+    "pulse_instant_continuity", "train_table", "protocol_square_identity",
+    "protocol_symmetry", "concurrence_oracle", "qslt_inequalities",
+    "baseline_degeneracy"]
 # every numeric ScenarioConfig field that `trace` takes as a flag
 NUMERIC_FIELDS = [f.name for f in fields(ScenarioConfig)
                   if f.type in ("float", "int", "float | None")]
@@ -336,17 +344,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ok: PASS" in out
         assert "bad: FAIL" in out
+        assert cli.main(["verify", "--json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["passed"] for c in checks] == [True, False]
 
-
-    def test_verify_runs_every_check(self, capsys):
+    def test_verify_runs_every_check(self, monkeypatch, capsys):
+        # the suite runs once; the second call reports the same results
+        monkeypatch.setattr(cli.verify_mod, "run_checks",
+                            functools.cache(cli.verify_mod.run_checks))
         assert cli.main(["verify"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in lines] == [
-            "spectral_oracle", "filter_oracle", "hand_anchor",
-            "pulse_instant_continuity", "train_table",
-            "protocol_square_identity", "protocol_symmetry", "concurrence_oracle", "qslt_inequalities",
-            "baseline_degeneracy"]
+        assert [line.split(":")[0] for line in lines] == VERIFY_CHECKS
         assert all(": PASS (measured " in line for line in lines)
+
+        assert cli.main(["verify", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["checks"]
+        assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
+        for c in report["checks"]:
+            assert set(c) == {"name", "measured", "threshold", "passed",
+                              "elapsed_s"}
+            assert c["passed"] is True
+            assert 0.0 <= c["measured"] < c["threshold"]
+            assert 0.0 < c["elapsed_s"] < 60.0
+
 
 # the edges of the custom-state rule: population sums off by nothing, by
 # less than the trace tolerance or by more; coherences at zero, inside

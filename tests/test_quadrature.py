@@ -71,7 +71,7 @@ def controlled_gamma_mp(s, instants, t):
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
-@pytest.mark.parametrize("t", [0.3, 2.0, 11.0, 40.0])
+@pytest.mark.parametrize("t", [0.3, 2.0, 11.0, 40.0, 150.0])
 def test_gamma0_quadrature_within_tol_of_mpmath(s, t):
     tol = 1e-10
     ref = gamma0_mp(s, t)
@@ -99,6 +99,48 @@ def test_controlled_gamma_quadrature_within_tol_of_mpmath(s, n, side, nudge):
     assert abs(got - ref) <= tol * abs(ref)
 
 
+def test_controlled_gamma_quadrature_resolves_every_period():
+    # with no breakpoint per period of the filter's fastest oscillation,
+    # e^(i x t), the first panels alias it here and read 1.7e-8; Gamma is
+    # linear in eta, so the module's ETA serves
+    s, tol = 3.0029, 1e-8
+    sched = pdd_schedule(2, 9.8015)
+    t = 12.447905
+    ref = controlled_gamma_mp(s, sched.instants, t)
+    got = controlled_gamma_quadrature(SpectralParams(s, ETA), sched, t,
+                                      tol=tol)
+    assert abs(got - ref) <= tol * abs(ref)
+
+
+def scripted_estimates(script, panels):
+    """A ``_panel_estimates`` that reads each panel's (value, error)
+    off ``script`` by its edges and logs the panel count of each round."""
+    def scripted(f, lo, hi):
+        panels.append(len(lo))
+        cells = [script[edge] for edge in zip(lo.tolist(), hi.tolist())]
+        return (np.array([v for v, _ in cells]),
+                np.array([e for _, e in cells]))
+    return scripted
+
+
+def test_retired_panels_add_up_over_rounds(monkeypatch):
+    # rounds 1-3 each retire one panel (error 2e-11, under its share
+    # budget / 4); in round 3 the retired errors and the kept one's 5e-11
+    # still break the budget of about 1e-10, so a fourth round runs
+    script = {(0.0, 0.5): (0.1, 2e-11), (0.5, 1.0): (0.9, 1e-6),
+              (0.5, 0.75): (0.2, 2e-11), (0.75, 1.0): (0.7, 1e-6),
+              (0.75, 0.875): (0.3, 2e-11), (0.875, 1.0): (0.4, 5e-11),
+              (0.875, 0.9375): (0.15, 0.0), (0.9375, 1.0): (0.25, 0.0)}
+    panels = []
+    monkeypatch.setattr(quadrature, "_panel_estimates",
+                        scripted_estimates(script, panels))
+    total = quadrature.adaptive_panel_quad(None, 0.0, 1.0, [0.5],
+                                           rel_tol=1e-10)
+    exact = math.fsum([0.1, 0.2, 0.3, 0.15, 0.25])
+    assert abs(total - exact) <= 4 * np.finfo(float).eps * exact
+    assert panels == [2, 2, 2, 2]
+
+
 def test_shrinking_total_reopens_retired_panels(monkeypatch):
     # round 1 retires [0, 0.5] with an error of 1e-12 at a total of 1;
     # round 2 shrinks the total to 1e-7, so that error alone breaks the
@@ -107,14 +149,8 @@ def test_shrinking_total_reopens_retired_panels(monkeypatch):
               (0.5, 0.75): (-0.25, 0.0), (0.75, 1.0): (-0.25 + 1e-7, 0.0),
               (0.0, 0.25): (0.25, 0.0), (0.25, 0.5): (0.25, 0.0)}
     panels = []
-
-    def scripted(f, lo, hi):
-        panels.append(len(lo))
-        cells = [script[edge] for edge in zip(lo.tolist(), hi.tolist())]
-        return (np.array([v for v, _ in cells]),
-                np.array([e for _, e in cells]))
-
-    monkeypatch.setattr(quadrature, "_panel_estimates", scripted)
+    monkeypatch.setattr(quadrature, "_panel_estimates",
+                        scripted_estimates(script, panels))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         total = quadrature.adaptive_panel_quad(None, 0.0, 1.0, [0.5],

@@ -211,17 +211,21 @@ class TestBathIntegral:
             bath_integral(BATHS[1], -1.0, weight, 1.0, 1e-10)
 
     def test_underflowing_frequency_takes_the_knee_alone(self, monkeypatch):
-        # w_c t = 1e-300 * 1e-300 underflows to 0: no half-period exists,
-        # in the first part or in the extension up to the tail bound
+        # w_c t = 1e-300 * 1e-300 underflows to 0, and w_c t = 1e-10 *
+        # 1e-310 to a subnormal 1e-320 whose period 2 pi/(w_c t) overflows
+        # to inf: no period exists, in the first part or in the extension
+        # up to the tail bound
         seen = []
         monkeypatch.setattr(
             spectral, "adaptive_panel_quad",
             lambda f, a, b, pts, rel_tol: seen.append(list(pts))
             or adaptive_panel_quad(f, a, b, pts, rel_tol=rel_tol))
-        p = SpectralParams(1.0, 0.5, omega_c=1e-300)
-        got = bath_integral(p, 1e-300, lambda x: x * x, 65.0 ** 2, tol=1e-12)
-        assert seen == [[1.0], [1.0]]
-        assert got == pytest.approx(0.5, rel=1e-11)
+        for omega_c, t in ((1e-300, 1e-300), (1e-10, 1e-310)):
+            seen.clear()
+            p = SpectralParams(1.0, 0.5, omega_c=omega_c)
+            got = bath_integral(p, t, lambda x: x * x, 65.0 ** 2, tol=1e-12)
+            assert seen == [[1.0], [1.0]], t
+            assert got == pytest.approx(0.5, rel=1e-11)
 
 
 class TestRuntimeDependencies:
