@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Before/after timings of the package import, the figure commands, the
-controlled Gamma, the quadrature oracles and the two QSL bounds of one
-trajectory (``qslt_pair``), in pairs of fresh processes.
+controlled Gamma, the quadrature oracles, the two QSL bounds of one
+trajectory (``qslt_pair``) and the CSV rendering of three N = 100 traces
+(``render``), in pairs of fresh processes.
 
 Each run is a fresh process with PYTHONPATH set to one source tree.  With
 ``--src OTHER/src`` every case runs as pairs, the ``--src`` tree first on
@@ -9,8 +10,8 @@ odd pairs and this checkout first on even pairs, so a drift of the host's
 speed falls on both sides alike; without it only this checkout is timed.
 For each side the record holds the samples, median and quartiles, each
 run's peak RSS and the CSV digests; with two sides also the share of pairs
-each wins (a tie counts for neither).  Each oracle group's per-call time
-is also recorded normalized by perfbench's host-speed kernel
+each wins (a tie counts for neither).  Each oracle and render group's
+per-call time is also recorded normalized by perfbench's host-speed kernel
 (``perfbench/bench_speed.py``, imported, not copied), timed around every
 repeat, so a drift of the host's speed between the two sides' processes
 cancels.  It names the machine, this
@@ -23,6 +24,7 @@ Usage:
 """
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -49,7 +51,15 @@ CONSTRUCTION_TIMEOUT_S = 300
 WORKER = (f"import sys; sys.path.append({str(REPO / 'scripts')!r}); "
           "import bench, json; print(json.dumps(bench.{}))")
 ORACLE_REPEATS = {"gamma0": 15, "filter": 15, "mlmt": 15, "qslt_pair": 15,
-                  "filter_n1000": 3}
+                  "filter_n1000": 3, "render": 15}
+# the traces whose tables the render group renders, each built once per
+# process: (config, overrides); the custom state has no coherence, so its
+# C_t and QC_t cells hold 0 and its QSLT cells are empty
+RENDER_TRACES = (("fig3_trace_markovian_n100", {}),
+                 ("fig4_trace_nonmarkovian_n100", {}),
+                 ("fig3_trace_markovian_n100", {
+                     "initial_state": "custom", "rho11": 0.4, "rho22": 0.3,
+                     "rho33": 0.2, "rho44": 0.1, "re_rho23": 0.0}))
 ETA = 0.5
 TAU_F = 10.0
 S_VALUES = (1.0, 3.0)
@@ -166,8 +176,13 @@ def cli_cases():
 
 
 def oracle_calls(dp):
-    """{group: [zero-argument call, ...]}, like perfbench's oracle items."""
-    out = {group: [] for group in ORACLE_REPEATS}
+    """{group: [zero-argument call, ...]}, like perfbench's oracle items,
+    and ``render_csv`` of each of the ``RENDER_TRACES`` tables."""
+    from dephasing_pdd.runner import render_csv, run_trace
+    out = collections.defaultdict(list)
+    for name, overrides in RENDER_TRACES:
+        cfg = dp.load_config(REPO / "configs" / f"{name}.cfg", overrides)
+        out["render"].append(functools.partial(render_csv, *run_trace(cfg)))
     for s in S_VALUES:
         p = dp.spectral.SpectralParams(s, ETA)
         for t in (3.7, 24.3):
@@ -223,8 +238,9 @@ def construction(n):
 
 def oracle_report():
     """{group: time per call (median of the repeats), the same normalized
-    by the host-speed kernel, values, integrand points and rounds per call}
-    for the package on sys.path; the counting pass wraps
+    by the host-speed kernel, values (the SHA-256 of a rendered text),
+    integrand points and rounds per call} for the groups in
+    ``ORACLE_REPEATS`` of the package on sys.path; the counting pass wraps
     quadrature._panel_estimates and is the warm-up.  The kernel runs once
     before a group's repeats and after each one (``SpeedProbe``), and each
     repeat is normalized by the kernel runs around it."""
@@ -241,16 +257,18 @@ def oracle_report():
         tally["rounds"] += 1
         return estimates(integrand, lo_edges, hi_edges)
 
-    report = {}
-    for group, calls in oracle_calls(dp).items():
-        tally = {"points": 0, "rounds": 0}
+    report, all_calls = {}, oracle_calls(dp)
+    for group, repeats in ORACLE_REPEATS.items():
+        calls, tally = all_calls[group], {"points": 0, "rounds": 0}
         quad._panel_estimates = counted
         try:
-            values = [float(call()) for call in calls]
+            values = [hashlib.sha256(v.encode()).hexdigest()
+                      if isinstance(v, str) else float(v)
+                      for v in (call() for call in calls)]
         finally:
             quad._panel_estimates = estimates
         walls, norms, before = [], [], probe.sample()
-        for _ in range(ORACLE_REPEATS[group]):
+        for _ in range(repeats):
             start = time.perf_counter()
             for call in calls:
                 call()
@@ -363,6 +381,8 @@ def main(argv=None):
         for side, reps in reports.items():
             result[side].update(points=reps[0][group]["points"],
                                 rounds=reps[0][group]["rounds"])
+            if group == "render":
+                result[side]["sha256"] = reps[0][group]["values"]
     from dephasing_pdd import pdd_schedule
     reference = [controlled_gamma_mp(s, pdd_schedule(1000, TAU_F).instants,
                                      N1000_T) for s in S_VALUES]

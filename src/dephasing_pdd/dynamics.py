@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .pulses import ControlledDecoherence, PulseSchedule, free_decoherence
-from .spectral import SpectralParams, gamma0_derivative
+from .spectral import SpectralParams, gamma0_derivative, rate_scale
 
 _HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-12  # |trace - 1| of a state, |sum d - 1| of an X-state
@@ -127,9 +127,10 @@ class Dephasing:
     def __init__(self, p: SpectralParams, schedule: PulseSchedule | None):
         self.free = free_decoherence(p)
         self.schedule = schedule
+        self.rate_exponent, prefactor = rate_scale(p)
 
-        def free_dot(t):
-            return gamma0_derivative(p, t)
+        def free_dot(t):  # dGamma0/dt / 2^k: sums over 10^6 pulses are finite
+            return gamma0_derivative(p, t, prefactor)
         self.free_dot = free_dot
 
     @functools.cached_property
@@ -188,7 +189,8 @@ class Dephasing:
 
     def functions(self, tag: ProtocolTag):
         """(Q(t), dQ/dt) as a pair of vectorized callables; dQ/dt is
-        :class:`SignRate` times Q and carries it as ``sign_rate``."""
+        :class:`SignRate` times Q times 2^``rate_exponent`` and carries the
+        rate as ``sign_rate``."""
         pulsed, rate = self.pulsed(tag), SignRate(self, tag)
 
         def q_of_t(t):
@@ -197,7 +199,7 @@ class Dephasing:
                 self.controlled(t) if pulsed else None))
 
         def qdot_of_t(t):
-            return rate(t) * q_of_t(t)
+            return np.ldexp(rate(t) * q_of_t(t), self.rate_exponent)
 
         qdot_of_t.sign_rate = rate
         return q_of_t, qdot_of_t

@@ -2,9 +2,9 @@
 
 Output is deterministic: metadata lives in '#'-prefixed header lines (the
 full configuration echoed back, no timestamps), numbers are formatted with
-9 significant digits, rows are in time order.  :func:`render_csv` formats
-each run of rows that share the same empty cells with one C-level ``%``
-call, the bytes of ``format(v, ".9g")`` in every cell.
+9 significant digits, rows are in time order.  :func:`render_csv` renders
+each run of rows with the same empty cells in one C-level ``%`` call, as
+``format(v, ".9g")``, formatting a float column of one value only once.
 
 Each trace and each sweep point builds one
 :class:`~dephasing_pdd.dynamics.Dephasing`, so the controlled Gamma is set
@@ -44,6 +44,7 @@ _CSV_TAGS = (ProtocolTag.Q00, ProtocolTag.Q10, ProtocolTag.Q11)
 # points, fig3 and fig4 at N = 100)
 _MAX_GRID_POINTS = 10 ** 6
 _CHUNK_ROWS = 65_536  # rows per ``%`` call: bounds the cells held at once
+_CONSTANT_ROWS = 64  # shortest run whose float columns are tested constant
 
 
 @dataclass(frozen=True)
@@ -178,17 +179,22 @@ def run_sweep_n(cfg: ScenarioConfig):
 
 def render_csv(header, table: Table) -> str:
     """Header lines, rows, footnote: one ``(row_format * rows) % cells``
-    call per run of at most ``_CHUNK_ROWS`` rows with the same empty cells."""
+    call per run of at most ``_CHUNK_ROWS`` rows with the same empty cells;
+    a float column of one value (bit for bit) down a run of at least
+    ``_CONSTANT_ROWS`` rows is formatted once, as text in the row format."""
     rows = len(table.columns[0])
     live = np.column_stack([np.broadcast_to(on, rows) for on in table.live])
     cuts = np.flatnonzero((live[1:] != live[:-1]).any(axis=1)) + 1
     bounds = sorted({*range(0, rows, _CHUNK_ROWS), *cuts.tolist(), rows})
     text = [line + "\n" for line in header]
     for lo, hi in zip(bounds, bounds[1:]):
-        shown = [v if on else None for v, on in zip(table.columns, live[lo])]
-        row_format = ",".join("" if v is None else "%s" if isinstance(v, list)
-                              else "%.9g" for v in shown) + "\n"
-        cells = np.array([v[lo:hi] for v in shown if v is not None],
-                         dtype=object).T.ravel().tolist()
-        text.append(row_format * (hi - lo) % tuple(cells))
+        shown = [v[lo:hi] if on else None
+                 for v, on in zip(table.columns, live[lo])]
+        formats = ["" if v is None else "%s" if isinstance(v, list)
+                   else "%.9g" if (hi - lo < _CONSTANT_ROWS or (
+                       v.view(np.int64) != v[:1].view(np.int64)).any())
+                   else format(float(v[0]), ".9g") for v in shown]
+        cells = np.array([v for v, f in zip(shown, formats) if f in (
+            "%s", "%.9g")], dtype=object).T.ravel().tolist()
+        text.append((",".join(formats) + "\n") * (hi - lo) % tuple(cells))
     return "".join(text) + (f"{table.footnote}\n" if table.footnote else "")

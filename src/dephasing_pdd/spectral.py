@@ -117,21 +117,33 @@ def gamma0_analytic(p: SpectralParams, t):
     return _maybe_scalar(out, t)
 
 
-def gamma0_derivative(p: SpectralParams, t):
+def gamma0_derivative(p: SpectralParams, t, prefactor=None):
     """Rate dGamma0/dt in closed form,
 
         dGamma0/dt = eta * w_c * Gamma(s) * sin(s arctan(w_c t))
                      / (1 + w_c^2 t^2)^(s/2),
 
     which is pole-free for every s > 0 (it reduces to
-    eta w_c^2 t / (1 + w_c^2 t^2) at s = 1).
+    eta w_c^2 t / (1 + w_c^2 t^2) at s = 1); a ``prefactor`` replaces
+    eta w_c Gamma(s) (:func:`rate_scale`).
     """
     u = p.omega_c * _as_nonnegative_array(t, "t")
-    out = (
-        p.eta * p.omega_c * _euler_gamma(p.s)
-        * np.sin(p.s * np.arctan(u)) * (1.0 + u * u) ** (-p.s / 2.0)
-    )
+    g = (p.eta * p.omega_c * _euler_gamma(p.s) if prefactor is None
+         else prefactor)
+    out = g * np.sin(p.s * np.arctan(u)) * (1.0 + u * u) ** (-p.s / 2.0)
     return _maybe_scalar(out, t)
+
+
+def rate_scale(p: SpectralParams):
+    """(k, eta w_c Gamma(s) / 2^k), the least k >= 0 that brings this rate
+    prefactor to at most 2^1000: exact, or from logs where it overflows."""
+    g = p.eta * p.omega_c * _euler_gamma(p.s) if p.eta else 0.0
+    if g <= 2.0 ** 1000:
+        return 0, g
+    log2 = (math.log(p.eta) + math.log(p.omega_c)
+            + math.lgamma(p.s)) / math.log(2.0)
+    k = max(0, math.ceil(log2) - 1000)
+    return k, math.ldexp(g, -k) if g < math.inf else 2.0 ** (log2 - k)
 
 
 def _log_tail_bound(s, x):

@@ -5,6 +5,7 @@ No test here starts a process: ``bench.run`` or ``subprocess.Popen`` and
 process is started.
 """
 
+import hashlib
 import importlib.util
 import io
 import signal
@@ -166,3 +167,28 @@ def test_each_qsl_call_searches_on_a_fresh_pair(bench, monkeypatch):
         per_call[group] = (len(scans) - start) / 2
         assert len(set(scans[start:])) == 2  # one rate per call
     assert per_call["mlmt"] == per_call["qslt_pair"] >= 1
+
+
+def test_the_render_group_times_each_table_built_once(bench, monkeypatch):
+    # small traces stand in for the N = 100 ones; each table is built
+    # once, and the group records the SHA-256 of each rendered text
+    from dephasing_pdd import runner
+    monkeypatch.setattr(bench.sys, "path", list(bench.sys.path))
+    monkeypatch.syspath_prepend(str(HERE.parent / "perfbench"))
+    import bench_speed
+    monkeypatch.setattr(bench_speed, "kernel", lambda: None)
+    small = {"n_pulses": 2, "min_points": 30, "points_per_interval": 4}
+    monkeypatch.setattr(bench, "RENDER_TRACES", (
+        ("fig3_trace_markovian_n10", small),
+        ("fig3_trace_markovian_n10", {**small, **bench.RENDER_TRACES[2][1]})))
+    monkeypatch.setattr(bench, "ORACLE_REPEATS", {"render": 3})
+    built, run_trace = [], runner.run_trace
+    monkeypatch.setattr(runner, "run_trace",
+                        lambda cfg: built.append(cfg) or run_trace(cfg))
+    report = bench.oracle_report()["render"]
+    assert len(built) == 2 and built[1].initial_state == "custom"
+    assert report["values"] == [
+        hashlib.sha256(runner.render_csv(*run_trace(cfg)).encode())
+        .hexdigest() for cfg in built]
+    assert report["time_per_call_norm_s"] > 0.0
+    assert report["points"] == report["rounds"] == 0

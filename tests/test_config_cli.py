@@ -429,6 +429,45 @@ def test_custom_state_exits_cleanly(entries):
         assert not cells & {"nan", "inf", "-inf"}
 
 
+# the sign rate's prefactor eta w_c Gamma(s) passes the float range near
+# s = 171.6 (at eta = 0.5), before Gamma0's eta Gamma(s - 1) does near 172.6
+LARGE_S_FLAGS = [
+    ["--s", "171.5"], ["--s", "171.5", "--n-pulses", "2"],
+    ["--s", "171", "--eta", "100", "--n-pulses", "2"],
+    ["--s", "171.7", "--n-pulses", "2"], ["--s", "171.5", "--eta", "1e-10"],
+    ["--s", "172.5"],
+    *(["--s", s, "--n-pulses", n] for s in ("171.3", "171.6", "172.0", "172.4")
+      for n in ("2", "10"))]
+
+
+@pytest.mark.parametrize("command", ["trace", "sweep-n"])
+@pytest.mark.parametrize("flags", LARGE_S_FLAGS, ids=" ".join)
+def test_large_s_ends_cleanly(command, flags):
+    """No warning, exit 0 with finite cells or exit 3 naming the exponent
+    that is not finite; a sweep takes the pulse count (10 by default) as
+    --n-values."""
+    if command == "sweep-n":
+        flags = ["--n-values" if f == "--n-pulses" else f for f in flags]
+        flags += [] if "--n-values" in flags else ["--n-values", "10"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([command, *flags])
+    assert not caught, [str(w.message) for w in caught]
+    assert "Warning" not in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 3), err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith(
+            "numerical failure: the decoherence exponent of Q")
+        assert "is not finite at t = " in err.getvalue()
+    else:
+        cells = {c for line in out.getvalue().splitlines()
+                 if not line.startswith("#") for c in line.split(",")}
+        assert not cells & {"nan", "inf", "-inf"}
+
+
 class TestCheckResult:
     def test_line_format(self):
         passing = CheckResult("alpha", 1e-9, 1e-6)

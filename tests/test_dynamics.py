@@ -243,9 +243,9 @@ class TestSignRate:
         calls = []
         original = dynamics.gamma0_derivative
 
-        def counting(p, t):
+        def counting(p, t, *prefactor):
             calls.append(t)
-            return original(p, t)
+            return original(p, t, *prefactor)
 
         monkeypatch.setattr(dynamics, "gamma0_derivative", counting)
         dephasing = Dephasing(OHMIC, pdd_schedule(5, 10.0))

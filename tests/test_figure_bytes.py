@@ -15,10 +15,13 @@ import numpy as np
 import pytest
 
 from dephasing_pdd.cli import main
+from dephasing_pdd.config import load_config
+from dephasing_pdd.runner import TRACE_COLUMNS, run_trace
 
 HERE = Path(__file__).resolve().parent
 SCRIPT = HERE.parent / "scripts" / "generate_figure_data.py"
 RECORD = json.loads((HERE / "figure_csv_sha256.json").read_text())
+CONFIGS = HERE.parent / "configs"
 # sweep-n --n-values 1000 of the fig1 and fig2 configs, as configured
 # (Q11, recorded in BENCH_sweep_probes.json) and with one pulsed qubit
 # (NAME-Q10): large-N rows that no figure CSV holds
@@ -59,3 +62,28 @@ def test_large_n_sweep_keeps_its_bytes(tmp_path, case):
                  *(["--protocol", *protocol] if protocol else []),
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_N_SHA256[case]
+
+
+# Printed cells whose raw value sits within rounding noise of the edge
+# where their 9th digit turns: (config, t as printed, column, 40-digit
+# mpmath reference).  The fig3 cell's raw value, 0.006401808404999994, is
+# 6e-18 below ...405; the reference is Phi0 |1 - Q| / TV with Q from a
+# 40-digit pair sum at the same nodes.  A change that moves a node within
+# its tolerance can flip such a cell away from its reference.
+KNIFE_EDGE_CELLS = [
+    ("fig3_trace_markovian_n100", "8.58415842", "qslt_ratio",
+     "0.006401808404982133719"),
+]
+
+
+@pytest.mark.parametrize("name,t,column,reference", KNIFE_EDGE_CELLS,
+                         ids=[cell[0] for cell in KNIFE_EDGE_CELLS])
+def test_knife_edge_cells_print_their_reference_digits(name, t, column,
+                                                       reference):
+    _, table = run_trace(load_config(str(CONFIGS / f"{name}.cfg")))
+    row = ["%.9g" % v for v in table.columns[0]].index(t)
+    raw = float(table.columns[TRACE_COLUMNS.index(column)][row])
+    printed, want = "%.9g" % raw, "%.9g" % float(reference)
+    assert printed == want, (
+        f"{name}.csv at t = {t}, {column}: prints {printed} from the raw "
+        f"value {raw!r}; its 40-digit reference {reference} prints {want}")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dephasing_pdd import qsl, runner
 from dephasing_pdd.config import ScenarioConfig, load_config
@@ -377,6 +379,103 @@ class TestCells:
         assert render_csv([], table).splitlines() == [
             "0,short,10,", "0,long,30,0.25", "12,short,10,1e-300",
             "12,long,30,-0"]
+
+
+def percent_reference(header, table):
+    """The CSV text cell by cell: ``"%.9g" % v`` for a live float cell, the
+    string for a live list cell, "" for a dead one; no run is formatted
+    once, so this also checks ``format(v, ".9g")`` against ``%``."""
+    rows = len(table.columns[0])
+    live = [np.broadcast_to(on, rows) for on in table.live]
+    lines = [*header, *(",".join(
+        ("%s" % v[i] if isinstance(v, list) else "%.9g" % float(v[i]))
+        if on[i] else "" for v, on in zip(table.columns, live))
+        for i in range(rows))]
+    if table.footnote is not None:
+        lines.append(table.footnote)
+    return "".join(line + "\n" for line in lines)
+
+
+FLOOR = runner._CONSTANT_ROWS
+# both zeros, NaNs with other payloads and signs, the infinities, subnormals
+SPECIAL = np.array([0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000,
+                    0x7FF8000000000001, 0x7FF0000000000001,
+                    0x7FF0000000000000, 0xFFF0000000000000, 1,
+                    0x3FF0000000000000], dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def run_tables(draw):
+    """Tables of runs shorter than, as long as and longer than the floor;
+    in each run a column is dead, constant, constant but for one cell
+    (0.0 against -0.0, one NaN payload against another) or mixed."""
+    lengths = draw(st.lists(st.sampled_from(
+        [1, 2, FLOOR - 1, FLOOR, FLOOR + 1, 2 * FLOOR + 3]),
+        min_size=1, max_size=4))
+    kinds = draw(st.lists(st.sampled_from(["float", "list", "none"]),
+                          min_size=1, max_size=5))
+    if kinds[0] == "none":  # the first column counts the rows
+        kinds[0] = "float"
+    value = st.sampled_from(SPECIAL) | st.floats()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns, live = [], []
+    for kind in kinds:
+        cells, on = [], []
+        for n in lengths:
+            mode = draw(st.sampled_from(
+                ["dead", "constant", "one_differs", "mixed"]))
+            on += [kind != "none" and mode != "dead"] * n
+            run = np.full(n, draw(value))
+            if mode == "one_differs":
+                run[draw(st.integers(0, n - 1))] = draw(value)
+            elif mode == "mixed":
+                run = rng.choice(np.concatenate(
+                    (SPECIAL, rng.standard_normal(8))), n)
+            cells.append(run)
+        cells = np.concatenate(cells)
+        columns.append(None if kind == "none" else [
+            f"{v!r}%" for v in cells] if kind == "list" else cells)
+        live.append(False if kind == "none" else np.array(on))
+    footnote = draw(st.sampled_from([None, "# note: x"]))
+    return Table(columns, live, footnote)
+
+
+class TestConstantRuns:
+    @settings(max_examples=150, deadline=None)
+    @given(table=run_tables(), chunk=st.sampled_from([5, FLOOR, 65_536]))
+    @example(table=Table([np.zeros(FLOOR + 5), np.full(FLOOR + 5, -0.0),
+                          np.full(FLOOR + 5, np.nan), None],
+                         [True, True, True, False], "# note: x"),
+             chunk=65_536)
+    @example(table=Table([np.zeros(FLOOR), np.zeros(FLOOR)],
+                         [True, np.arange(FLOOR) > 0]), chunk=65_536)
+    def test_matches_a_per_cell_reference(self, table, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner, "_CHUNK_ROWS", chunk)
+            assert (render_csv(["# h", "a"], table)
+                    == percent_reference(["# h", "a"], table))
+
+    def test_a_constant_run_is_formatted_once(self, monkeypatch):
+        # a float column that repeats one value over a long run is text
+        # in the row format; a shorter run, or one other bit pattern,
+        # keeps a conversion per cell
+        formatted = []
+        real = float.__format__
+
+        class Counting(float):
+            def __format__(self, spec):
+                formatted.append(spec)
+                return real(self, spec)
+
+        monkeypatch.setattr(runner, "float", Counting, raising=False)
+        values = np.zeros(FLOOR)
+        render_csv([], Table([values], [True]))
+        assert formatted == [".9g"]
+        for table in (Table([values[1:]], [True]),
+                      Table([np.append(values[1:], -0.0)], [True])):
+            formatted.clear()
+            assert render_csv([], table) == percent_reference([], table)
+            assert formatted == []
 
 
 class TestRenderCsv:

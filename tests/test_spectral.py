@@ -18,7 +18,8 @@ from dephasing_pdd.errors import QuadratureError
 from dephasing_pdd.quadrature import adaptive_panel_quad
 from dephasing_pdd.spectral import (SpectralParams, bath_integral,
                                     gamma0_analytic, gamma0_derivative,
-                                    gamma0_quadrature, spectral_density)
+                                    gamma0_quadrature, rate_scale,
+                                    spectral_density)
 
 BATHS = [SpectralParams(0.5, 0.1), SpectralParams(1.0, 0.5),
          SpectralParams(3.0, 0.5), SpectralParams(2.0, 0.3, omega_c=2.0)]
@@ -131,6 +132,34 @@ class TestGamma0Derivative:
         t = 3.0
         assert gamma0_derivative(p, t) == pytest.approx(
             p.eta * t / (1.0 + t * t), rel=1e-13)
+
+
+    @pytest.mark.parametrize("p", [*BATHS, SpectralParams(171.5, 1e-10)],
+                             ids=lambda p: f"s={p.s},eta={p.eta}")
+    def test_rate_scale_keeps_a_moderate_prefactor(self, p):
+        # k = 0 and the very product the plain rate takes: same bits
+        k, g = rate_scale(p)
+        assert k == 0 and g == p.eta * p.omega_c * math.gamma(p.s)
+        t = np.linspace(0.0, 25.0, 41)
+        assert np.array_equal(gamma0_derivative(p, t, g),
+                              gamma0_derivative(p, t))
+
+    def test_rate_scale_without_coupling_is_zero(self):
+        # where the plain product 0 * Gamma(200) would be nan
+        assert rate_scale(SpectralParams(200.0, 0.0)) == (0, 0.0)
+
+    @pytest.mark.parametrize("s,eta", [
+        (171.5, 0.5), (171.0, 100.0), (171.7, 0.5), (171.7, 1e-10),
+        (300.0, 1e-300)])
+    def test_rate_scale_brings_the_prefactor_to_2_1000(self, s, eta):
+        # Gamma(s) itself overflows past s = 171.62: then from logarithms
+        k, g = rate_scale(SpectralParams(s, eta))
+        exact = eta * mpmath.gamma(s) / mpmath.mpf(2) ** k
+        assert g <= 2.0 ** 1000 and (k == 0 or g > 2.0 ** 999)
+        assert g == pytest.approx(float(exact), rel=1e-12)
+        plain = eta * spectral._euler_gamma(s)
+        if plain < math.inf:  # then 2^-k exactly
+            assert g == math.ldexp(plain, -k)
 
 
 class TestGamma0Quadrature:
