@@ -90,16 +90,21 @@ def _build_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _emit(cfg, text):
-    if cfg.out:
+def _emit(out, text):
+    if out:
         try:
-            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write output {cfg.out!r}: {exc}",
+            raise ConfigError(f"cannot write output {out!r}: {exc}",
                               field="out") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader is gone: the rest goes nowhere
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def main(argv=None):
@@ -109,8 +114,9 @@ def main(argv=None):
         import json  # here, so trace and sweep-n start without it (~1.4 ms)
 
         results = verify_mod.run_checks()
-        print(json.dumps({"checks": [r.record() for r in results]})
-              if args.json else "\n".join(r.line() for r in results))
+        report = (json.dumps({"checks": [r.record() for r in results]})
+                  if args.json else "\n".join(r.line() for r in results))
+        _emit(None, report + "\n")
         return 0 if all(r.passed for r in results) else 1
 
     try:
@@ -119,7 +125,7 @@ def main(argv=None):
             header, rows = run_trace(cfg)
         else:
             header, rows = run_sweep_n(cfg)
-        _emit(cfg, render_csv(header, rows))
+        _emit(cfg.out, render_csv(header, rows))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

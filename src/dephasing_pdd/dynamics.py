@@ -194,9 +194,10 @@ class Dephasing:
         pulsed, rate = self.pulsed(tag), SignRate(self, tag)
 
         def q_of_t(t):
-            return np.exp(-self.exponent_sum(
-                tag, self.free(t) if pulsed < 2 else None,
-                self.controlled(t) if pulsed else None))
+            free = self.free(t) if pulsed < 2 else None
+            controlled = self.controlled(t) if pulsed else None
+            with np.errstate(over="ignore"):  # Q = 0 where 2 Gamma overflows
+                return np.exp(-self.exponent_sum(tag, free, controlled))
 
         def qdot_of_t(t):
             return np.ldexp(rate(t) * q_of_t(t), self.rate_exponent)

@@ -5,10 +5,10 @@ relative tolerance.  The domain is pre-split at caller supplied
 breakpoints and each panel is estimated with the nested Gauss-Kronrod pair
 G10/K21 of QUADPACK's ``qk21`` (Piessens et al., 1983): the 21 Kronrod
 nodes contain the 10 Gauss nodes, so one integrand call per round gives
-the K21 value and its error estimate |K21 - G10|.  Panels whose error
-estimate exceeds their share of the global budget are bisected; the
-integrand is always evaluated on all active panels in one vectorized
-call.  The bath integrals it serves are set up in :mod:`.spectral`.
+the K21 value and its error estimate |K21 - G10|.  Each round keeps the
+smallest-error panels whose errors fit half the budget and bisects the
+rest, one at least: errors past the budget never all fit in its half.
+The bath integrals it serves are set up in :mod:`.spectral`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ def _panel_estimates(f, lo_edges, hi_edges):
 def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10):
     """Integrate a vectorized ``f`` over [a, b] to a relative tolerance.
 
+    Each round bisects all but the smallest-error panels whose errors fit
+    half the budget, one at least: errors past the budget never all fit.
+
     Parameters
     ----------
     f : callable
@@ -86,14 +89,14 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10):
     pts = np.asarray(breakpoints, dtype=float).ravel()
     pts = np.sort(pts[(a < pts) & (pts < b)])
     edges = np.concatenate(([a], pts, [b]))
-    lo_edges, hi_edges = edges[:-1], edges[1:]
-    # retired panels' edges, values and error estimates
-    retired = np.zeros((4, 0))
+    # unsplit panels' edges, values and errors; the panels to evaluate
+    kept = [np.zeros(0)] * 4
+    new_lo, new_hi = edges[:-1], edges[1:]
 
     for _ in range(_MAX_ROUNDS):
-        values, errors = _panel_estimates(f, lo_edges, hi_edges)
-        total = retired[2].sum() + values.sum()
-        total_err = retired[3].sum() + errors.sum()
+        lo, hi, values, errors = (np.concatenate(pair) for pair in zip(
+            kept, (new_lo, new_hi, *_panel_estimates(f, new_lo, new_hi))))
+        total, total_err = values.sum(), errors.sum()
         if not np.isfinite((total, total_err)).all():
             raise QuadratureError(
                 f"the integrand is not finite on [{a:g}, {b:g}] (total "
@@ -102,24 +105,15 @@ def adaptive_panel_quad(f, a, b, breakpoints=(), rel_tol=1e-10):
         if total_err <= budget:
             return total
 
-        # retire panels that already meet their per-panel share
-        keep = errors > budget / (2.0 * len(lo_edges))
-        retired = np.concatenate((retired, np.stack(
-            (lo_edges, hi_edges, values, errors))[:, ~keep]), axis=1)
-        lo_edges, hi_edges = lo_edges[keep], hi_edges[keep]
-        if not keep.any():
-            # the total shrank below the one the retired panels met: reopen
-            # them worst first, all but those that fit half the budget
-            order = np.argsort(retired[3])
-            fits = np.cumsum(retired[3][order]) <= 0.5 * budget
-            lo_edges, hi_edges = retired[:2, order[~fits]]
-            retired = retired[:, order[fits]]
-
-        if 2 * len(lo_edges) > _MAX_PANELS:
+        order = np.argsort(errors)
+        fits = np.cumsum(errors[order]) <= 0.5 * budget
+        keep, split = order[fits], order[~fits]
+        if 2 * len(split) > _MAX_PANELS:
             break
-        mid = 0.5 * (lo_edges + hi_edges)
-        lo_edges = np.concatenate((lo_edges, mid))
-        hi_edges = np.concatenate((mid, hi_edges))
+        kept = [arr[keep] for arr in (lo, hi, values, errors)]
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        new_lo, new_hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
 
     raise QuadratureError(
         f"quadrature did not converge to rel_tol={rel_tol:g} within "

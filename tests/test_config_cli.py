@@ -6,6 +6,8 @@ import functools
 import io
 import json
 import math
+import os
+import sys
 import warnings
 from dataclasses import fields
 
@@ -348,6 +350,22 @@ class TestCli:
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [c["passed"] for c in checks] == [True, False]
 
+    @pytest.mark.parametrize("argv,code", [
+        (["trace", "--n-pulses", "1", "--tau-d", "10", "--min-points", "20",
+          "--points-per-interval", "4"], 0),
+        (["verify"], 1)], ids=["trace", "verify"])
+    def test_closed_stdout_keeps_the_exit_code(self, argv, code, monkeypatch):
+        # stdout is a pipe whose reader has gone: the write or the flush
+        # meets EPIPE, and stdout's descriptor is pointed at os.devnull
+        monkeypatch.setattr(cli.verify_mod, "run_checks",
+                            lambda: [CheckResult("bad", 1.0, 0.0)])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(argv) == code
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+
     def test_verify_runs_every_check(self, monkeypatch, capsys):
         # the suite runs once; the second call reports the same results
         monkeypatch.setattr(cli.verify_mod, "run_checks",
@@ -433,6 +451,7 @@ def test_custom_state_exits_cleanly(entries):
 # s = 171.6 (at eta = 0.5), before Gamma0's eta Gamma(s - 1) does near 172.6
 LARGE_S_FLAGS = [
     ["--s", "171.5"], ["--s", "171.5", "--n-pulses", "2"],
+    ["--s", "171", "--eta", "100"],
     ["--s", "171", "--eta", "100", "--n-pulses", "2"],
     ["--s", "171.7", "--n-pulses", "2"], ["--s", "171.5", "--eta", "1e-10"],
     ["--s", "172.5"],

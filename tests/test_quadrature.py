@@ -18,7 +18,8 @@ from dephasing_pdd.pulses import (PulseSchedule, controlled_gamma_quadrature,
                                   pdd_schedule)
 from dephasing_pdd.qsl import qslt_general
 from dephasing_pdd.quadrature import _NODES, _WEIGHTS
-from dephasing_pdd.spectral import SpectralParams, gamma0_quadrature
+from dephasing_pdd.spectral import (SpectralParams, gamma0_analytic,
+                                   gamma0_quadrature)
 
 K21, G10 = _WEIGHTS.T
 ETA = 0.5
@@ -123,22 +124,23 @@ def scripted_estimates(script, panels):
     return scripted
 
 
-def test_retired_panels_add_up_over_rounds(monkeypatch):
-    # rounds 1-3 each retire one panel (error 2e-11, under its share
-    # budget / 4); in round 3 the retired errors and the kept one's 5e-11
-    # still break the budget of about 1e-10, so a fourth round runs
-    script = {(0.0, 0.5): (0.1, 2e-11), (0.5, 1.0): (0.9, 1e-6),
-              (0.5, 0.75): (0.2, 2e-11), (0.75, 1.0): (0.7, 1e-6),
-              (0.75, 0.875): (0.3, 2e-11), (0.875, 1.0): (0.4, 5e-11),
-              (0.875, 0.9375): (0.15, 0.0), (0.9375, 1.0): (0.25, 0.0)}
+def test_unsplit_panels_carry_into_every_later_total(monkeypatch):
+    # each round splits the one panel at 1e-6 and leaves a 1e-11 one
+    # unsplit; in round 3 the children's 8.5e-11 alone would meet the
+    # budget of about 1e-10, but the carried 2e-11 breaks it, so a fourth
+    # round splits [0.875, 1] into children worth 0.41, not 0.4
+    script = {(0.0, 0.5): (0.1, 1e-11), (0.5, 1.0): (0.9, 1e-6),
+              (0.5, 0.75): (0.2, 1e-11), (0.75, 1.0): (0.7, 1e-6),
+              (0.75, 0.875): (0.3, 1e-11), (0.875, 1.0): (0.4, 7.5e-11),
+              (0.875, 0.9375): (0.16, 0.0), (0.9375, 1.0): (0.25, 0.0)}
     panels = []
     monkeypatch.setattr(quadrature, "_panel_estimates",
                         scripted_estimates(script, panels))
     total = quadrature.adaptive_panel_quad(None, 0.0, 1.0, [0.5],
                                            rel_tol=1e-10)
-    exact = math.fsum([0.1, 0.2, 0.3, 0.15, 0.25])
+    exact = math.fsum([0.1, 0.2, 0.3, 0.16, 0.25])
     assert abs(total - exact) <= 4 * np.finfo(float).eps * exact
-    assert panels == [2, 2, 2, 2]
+    assert panels == [2, 2, 2, 2]  # only the children are evaluated
 
 
 def test_shrinking_total_reopens_retired_panels(monkeypatch):
@@ -157,6 +159,45 @@ def test_shrinking_total_reopens_retired_panels(monkeypatch):
                                                rel_tol=1e-10)
     assert total == pytest.approx(1e-7, rel=1e-8)
     assert panels == [2, 2, 2]  # no idle round
+
+
+def test_long_time_gamma0_converges_past_a_stalled_split():
+    # 1868 first panels, each over many periods 2 pi/10^4: unless most of
+    # them may stay unsplit, the bisected panels pass _MAX_PANELS before
+    # the budget is met
+    p, t, tol = SpectralParams(3.0, ETA), 1e4, 1e-10
+    ref = gamma0_analytic(p, t)
+    assert abs(gamma0_quadrature(p, t, tol=tol) - ref) <= tol * abs(ref)
+
+
+# integrand points each call spent when panels under budget / (2 * active
+# panels) were set aside and reopened once all were; the one split rule
+# may not spend more
+POINTS_BEFORE_ONE_RULE = {
+    (0.5, 500.0, 1e-6): 30513, (0.5, 500.0, 1e-10): 30891,
+    (0.5, 2000.0, 1e-6): 46431, (0.5, 2000.0, 1e-10): 87759,
+    (1.0, 500.0, 1e-6): 32340, (1.0, 500.0, 1e-10): 32340,
+    (1.0, 2000.0, 1e-6): 56910, (1.0, 2000.0, 1e-10): 116886,
+    (3.0, 500.0, 1e-6): 39228, (3.0, 500.0, 1e-10): 39228,
+    (3.0, 2000.0, 1e-6): 110334, (3.0, 2000.0, 1e-10): 179760,
+    "filter": 1617,
+}
+
+
+@pytest.mark.parametrize("case", POINTS_BEFORE_ONE_RULE, ids=str)
+def test_the_split_rule_spends_no_more_points(case, monkeypatch):
+    points = []
+    estimates = quadrature._panel_estimates
+    monkeypatch.setattr(quadrature, "_panel_estimates",
+                        lambda f, lo, hi: points.append(len(lo) * len(_NODES))
+                        or estimates(f, lo, hi))
+    if case == "filter":  # N = 1000 on [0, 10], t just before the last pulse
+        controlled_gamma_quadrature(SpectralParams(1.0, ETA),
+                                    pdd_schedule(1000, 10.0), 9.99)
+    else:
+        s, t, tol = case
+        gamma0_quadrature(SpectralParams(s, ETA), t, tol=tol)
+    assert sum(points) <= POINTS_BEFORE_ONE_RULE[case]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
