@@ -162,9 +162,10 @@ class Dephasing:
         from one evaluation of Gamma0 and one of the controlled Gamma.
 
         Without ``x`` each column is bit-identical to the ``q_of_t`` of
-        :meth:`functions`; with a trace grid's fractions ``x`` the
-        controlled Gamma of the pulse train's segments comes from one
-        table (:meth:`ControlledDecoherence.on_grid`).
+        :meth:`functions`; with ``x``, ``t`` holds one row per segment
+        sampled at the fractions ``x``, and the controlled Gamma of the
+        pulse train's segments comes from one table
+        (:meth:`ControlledDecoherence.on_segments`).
 
         Raises FloatingPointError where an exponent is not finite (it
         overflows, or meets inf - inf or 0 * inf) or below -1e-12, a Q > 1
@@ -174,7 +175,8 @@ class Dephasing:
             free = self.free(t)
             controlled = (None if self.controlled is None
                           else self.controlled(t) if x is None
-                          else self.controlled.on_grid(t, x))
+                          else self.controlled.on_segments(
+                              t, x, t[:, 0], t[:, -1]))
             gammas = {tag: self.exponent_sum(tag, free, controlled)
                       for tag in ProtocolTag}
         for tag, gamma in gammas.items():

@@ -188,20 +188,6 @@ class ControlledDecoherence:
                           else self(ts[exact]))
         return out
 
-    def on_grid(self, t, x):
-        """Gamma at ``t``, where t[k p + m] samples segment k at the
-        fractions x[m], p = len(x) - 1, segments end to end as on a trace
-        grid: :meth:`on_segments` on the whole segments, a point two
-        segments share taken from the one it ends, and the exact route on
-        any points past them."""
-        p = len(x) - 1
-        m = (len(t) - 1) // p * p
-        at = np.arange(0, m, p)[:, None] + np.arange(p + 1)
-        values = self.on_segments(t[at], x, t[at[:, 0]], t[at[:, -1]])
-        out = np.concatenate((values[:1, 0], values[:, 1:].ravel()))
-        rest = t[len(out):]
-        return np.concatenate((out, self(rest))) if rest.size else out
-
 
 def controlled_gamma_quadrature(p: SpectralParams, schedule: PulseSchedule,
                                 t, tol=1e-9):

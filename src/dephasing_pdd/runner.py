@@ -10,8 +10,9 @@ Each trace and each sweep point builds one
 :class:`~dephasing_pdd.dynamics.Dephasing`, so the controlled Gamma is set
 up once and serves the Q columns, the node values of the total variation
 and the sign-only extrema search.  A trace's Q columns read the
-controlled Gamma of the pulse train's segments off one table, laid out by
-the fractions at which :func:`time_grid` samples every segment.
+controlled Gamma of the pulse train's segments off one table, on the
+rows of :func:`time_grid`, one per segment at common fractions;
+:func:`run_trace` alone flattens the rows into the trace's times.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ class Table:
 
 
 def time_grid(cfg: ScenarioConfig, instants):
-    """Grid over [0, tau_d] with every pulse instant (and tau_f) as a node,
-    at least ``points_per_interval`` points per inter-pulse segment and at
-    least ``min_points`` overall, and the fractions x = linspace(0, 1,
-    p + 1) at which it samples each segment; a grid of more than
-    ``_MAX_GRID_POINTS`` points is a :class:`ConfigError`, raised before
-    any is made."""
+    """Rows of a grid over [0, tau_d] with every pulse instant (and tau_f)
+    as a node, at least ``points_per_interval`` points per inter-pulse
+    segment and at least ``min_points`` overall: row k samples segment k
+    at the fractions x = linspace(0, 1, p + 1), returned with them, so a
+    time two segments share ends one row and starts the next.  A grid of
+    more than ``_MAX_GRID_POINTS`` points is a :class:`ConfigError`,
+    raised before any is made."""
     edges = np.array(sorted({0.0, cfg.tau_f, cfg.tau_d, *instants}))
     segments = len(edges) - 1
     ppi = max(cfg.points_per_interval, -(-cfg.min_points // segments))
@@ -77,8 +79,8 @@ def time_grid(cfg: ScenarioConfig, instants):
             f"the time grid would hold {points} points, more than "
             f"{_MAX_GRID_POINTS}: lower min_points, points_per_interval or "
             f"n_pulses")
-    pieces = np.linspace(edges[:-1], edges[1:], ppi + 1, axis=-1)
-    return np.unique(pieces), np.linspace(0.0, 1.0, ppi + 1)
+    rows = np.linspace(edges[:-1], edges[1:], ppi + 1, axis=-1)
+    return rows, np.linspace(0.0, 1.0, ppi + 1)
 
 
 def _header(kind, cfg: ScenarioConfig, columns):
@@ -126,10 +128,13 @@ def run_trace(cfg: ScenarioConfig):
     schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
     tag = ProtocolTag(cfg.protocol)
     rho0 = cfg.state()
-    ts, x = time_grid(cfg, schedule.instants)
+    rows, x = time_grid(cfg, schedule.instants)
+    # a time two segments share is sampled where its first segment ends
+    ts, first = np.unique(rows, return_index=True)
 
     dephasing = Dephasing(params, schedule)
-    cols = dephasing.q_columns(ts, x)
+    cols = {tag: q.ravel()[first]
+            for tag, q in dephasing.q_columns(rows, x).items()}
     q = cols[tag]
     x_t = XStateSummary.from_state(rho0, q)
     singlet = cfg.initial_state == "singlet"

@@ -109,12 +109,13 @@ def check_train_table():
     against the exact route."""
     cfg = ScenarioConfig(n_pulses=100, points_per_interval=8, min_points=2)
     sched = pdd_schedule(cfg.n_pulses, cfg.tau_f)
-    ts, x = time_grid(cfg, sched.instants)
+    rows, x = time_grid(cfg, sched.instants)
     worst = 0.0
     for s in (1.0, 3.0):
         gamma = ControlledDecoherence(free_decoherence(SpectralParams(s, 0.5)),
                                       sched)
-        worst = max(worst, np.max(np.abs(gamma.on_grid(ts, x) - gamma(ts))))
+        table = gamma.on_segments(rows, x, rows[:, 0], rows[:, -1])
+        worst = max(worst, np.max(np.abs(table - gamma(rows))))
     return CheckResult("train_table", worst, 1e-12)
 
 

@@ -47,15 +47,19 @@ class TestTimeGrid:
     def test_contains_pulse_instants_and_edges(self):
         cfg = small_cfg()
         instants = pdd_schedule(cfg.n_pulses, cfg.tau_f).instants
-        ts, _ = time_grid(cfg, instants)
-        for edge in (0.0, cfg.tau_f, cfg.tau_d, *instants):
-            assert np.min(np.abs(ts - edge)) == 0.0
+        rows, _ = time_grid(cfg, instants)
+        edges = sorted({0.0, cfg.tau_f, cfg.tau_d, *instants})
+        # one row per segment, from its start to its end
+        assert rows[:, 0].tolist() == edges[:-1]
+        assert rows[:, -1].tolist() == edges[1:]
 
     def test_respects_min_points(self):
         cfg = small_cfg(min_points=500)
-        ts, _ = time_grid(cfg, pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
+        rows, _ = time_grid(cfg,
+                            pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
+        ts = np.unique(rows)
         assert len(ts) >= 500
-        assert np.all(np.diff(ts) > 0)
+        assert np.all(np.diff(rows, axis=1) > 0)
 
     def test_matches_per_segment_linspace(self):
         # the one batched linspace is bit-identical to one per segment
@@ -68,11 +72,11 @@ class TestTimeGrid:
                             min_points=2)
             instants = pdd_schedule(cfg.n_pulses, cfg.tau_f).instants
             edges = sorted({0.0, cfg.tau_f, cfg.tau_d, *instants})
-            ts, x = time_grid(cfg, instants)
-            ref = np.unique(np.concatenate(
-                [np.linspace(a, b, len(x)) for a, b in zip(edges[:-1],
-                                                           edges[1:])]))
-            assert ts.tobytes() == ref.tobytes()
+            rows, x = time_grid(cfg, instants)
+            ref = np.array([np.linspace(a, b, len(x))
+                            for a, b in zip(edges[:-1], edges[1:])])
+            assert rows.tobytes() == ref.tobytes()
+            assert x.tobytes() == np.linspace(0.0, 1.0, len(x)).tobytes()
 
 
 class TestInitialState:
@@ -272,13 +276,11 @@ class TestTrainTable:
                                                            monkeypatch):
         cfg = load_config(CONFIGS / f"{name}.cfg")
         schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
-        ts, x = time_grid(cfg, schedule.instants)
-        p = len(x) - 1
+        rows, x = time_grid(cfg, schedule.instants)
         dephasing = Dephasing(SpectralParams(cfg.s, cfg.eta, cfg.omega_c),
                               schedule)
         gamma = dephasing.controlled
-        at = p * np.arange((len(ts) - 1) // p)[:, None] + np.arange(p + 1)
-        want = gamma(ts[at])
+        want = gamma(rows)
         exact_rows = []
         call = ControlledDecoherence.__call__
 
@@ -287,27 +289,58 @@ class TestTrainTable:
             return call(self, t)
 
         monkeypatch.setattr(ControlledDecoherence, "__call__", recording)
-        values = gamma.on_segments(ts[at], x, ts[at[:, 0]], ts[at[:, -1]])
+        values = gamma.on_segments(rows, x, rows[:, 0], rows[:, -1])
         assert np.max(np.abs(values - want)) <= 1e-13
         # every train segment from the table, not [tau_N, tau_f] or the tail
         assert len(exact_rows) == 1
-        assert np.array_equal(exact_rows[0], ts[at[cfg.n_pulses:]])
+        assert np.array_equal(exact_rows[0], rows[cfg.n_pulses:])
         monkeypatch.undo()
         # the columns put each table value at its own grid time
-        table, exact = dephasing.q_columns(ts, x), dephasing.q_columns(ts)
+        table, exact = dephasing.q_columns(rows, x), dephasing.q_columns(rows)
         for tag in ProtocolTag:
             assert np.allclose(table[tag], exact[tag], rtol=1e-13, atol=0.0)
         assert np.array_equal(table[ProtocolTag.Q00], exact[ProtocolTag.Q00])
 
     def test_points_past_whole_segments_take_exact_route(self):
-        # tau_d one ulp past tau_f collapses the tail to one grid point
+        # tau_d one ulp past tau_f collapses the tail row to two times
         cfg = small_cfg(tau_d=float(np.nextafter(10.0, 11.0)))
         schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
-        ts, x = time_grid(cfg, schedule.instants)
-        assert (len(ts) - 1) % (len(x) - 1) == 1
+        rows, x = time_grid(cfg, schedule.instants)
+        assert np.unique(rows[-1]).size == 2
         gamma = Dephasing(SpectralParams(1.0, 0.5), schedule).controlled
-        assert np.allclose(gamma.on_grid(ts, x), gamma(ts), rtol=1e-13,
-                           atol=0.0)
+        values = gamma.on_segments(rows, x, rows[:, 0], rows[:, -1])
+        assert np.allclose(values, gamma(rows), rtol=1e-13, atol=0.0)
+        # [tau_N, tau_f] and the tail are off the train: the exact route
+        assert np.array_equal(values[-2:], gamma(rows[-2:]))
+
+    def test_shared_times_take_the_segment_ending_there(self):
+        # a time two rows share prints the value of the row it ends
+        cfg = load_config(CONFIGS / "fig3_trace_markovian_n100.cfg")
+        schedule = pdd_schedule(cfg.n_pulses, cfg.tau_f)
+        rows, x = time_grid(cfg, schedule.instants)
+        cols = Dephasing(SpectralParams(cfg.s, cfg.eta, cfg.omega_c),
+                         schedule).q_columns(rows, x)
+        _, table = run_trace(cfg)
+        ts = table.columns[0]
+        shared = rows[:cfg.n_pulses + 1, -1]  # every instant, then tau_f
+        assert shared.tolist() == [*schedule.instants, cfg.tau_f]
+        at = np.searchsorted(ts, shared)
+        assert np.array_equal(ts[at], shared)
+        for column, tag in zip(table.columns[1:4], runner._CSV_TAGS):
+            ends = cols[tag][:cfg.n_pulses + 1, -1]
+            assert column[at].tobytes() == ends.tobytes()
+
+    def test_one_ulp_tail_keeps_one_row_per_time(self):
+        cfg = replace(load_config(CONFIGS / "fig3_trace_markovian_n100.cfg"),
+                      tau_d=float(np.nextafter(10.0, np.inf)))
+        # the tail row's samples fall on two times; each prints once
+        _, table = run_trace(cfg)
+        ts = table.columns[0]
+        assert np.all(np.diff(ts) > 0)
+        exact = Dephasing(SpectralParams(cfg.s, cfg.eta, cfg.omega_c),
+                          pdd_schedule(cfg.n_pulses, cfg.tau_f)).q_columns(ts)
+        for column, tag in zip(table.columns[1:4], runner._CSV_TAGS):
+            assert np.max(np.abs(column - exact[tag])) <= 1e-13
 
     def test_q00_trace_builds_no_rate_table_unpulsed_none(self, tables):
         # a Q00 trace prints Q10 and Q11 too, so its columns take the
@@ -548,7 +581,9 @@ class TestQsltCellsMatchScalarApi:
     def test_trace_rows(self, name, protocol):
         cfg = replace(load_config(CONFIGS / f"{name}.cfg"), protocol=protocol)
         rows = csv_rows(*run_trace(cfg))
-        ts, _ = time_grid(cfg, pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
+        grid, _ = time_grid(cfg,
+                            pdd_schedule(cfg.n_pulses, cfg.tau_f).instants)
+        ts = np.unique(grid)
         pick = slice(97, None, 97)
         self.assert_close([r[-2:] for r in data_rows(rows)[pick]], ts[pick],
                           *self.scalar_api(cfg))
